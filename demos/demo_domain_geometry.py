@@ -32,8 +32,8 @@ def main():
 
     print("== Coarse scan of the a-b plane at d^2 = 1.6 ==")
     grid = scan_grid((-4, 4), (-4, 4), math.sqrt(1.6), (33, 33))
-    for row in grid.verdicts:
-        print("  " + "".join("#" if v.inside else "." for v in row))
+    for row in grid.inside:
+        print("  " + "".join("#" if inside else "." for inside in row))
     print()
 
     print("== PMN points: circle meets hyperbolas (d^2 = 1.6) ==")

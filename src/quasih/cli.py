@@ -10,19 +10,19 @@ Option precedence is flags > config file > built-in defaults; the config
 file (``--config``) is a flat ``key = value`` text file whose keys match
 the long option names with dashes replaced by underscores.
 
-Exit status: 0 on success, 1 on numerical failure, 2 on bad arguments.
-The ``QUASIH_THREADS`` environment variable caps the worker count of the
-grid scan.
+Exit status: 0 on success, 1 on numerical failure, 2 on bad arguments
+(with a one-line ``error:`` message on stderr).  The ``QUASIH_THREADS``
+environment variable is accepted and ignored: the grid scan is one numpy
+evaluation.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from quasih.domain import (
     figure1_geometry,
     in_domain,
     pmn_points,
+    scan_grid,
 )
 from quasih.metric import (
     boundary_degeneracy_profile,
@@ -90,6 +91,18 @@ def _resolve(args, name: str, default, cast=float):
     return default
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _require_d2(args) -> float:
+    d2 = _resolve(args, "d2", None)
+    if d2 is None:
+        _usage_error(f"{args.command} needs --d2")
+    return d2
+
+
 def _emit(args, text: str, meta: dict) -> None:
     out = _resolve(args, "out", None, str)
     if out is None:
@@ -115,7 +128,7 @@ def _select_matrix(args):
         if getattr(args, name, None) is not None
     ]
     if len(chosen) != 1:
-        raise SystemExit(2)
+        _usage_error("give exactly one of --two-state, --full, --band, --alpha")
     name = chosen[0]
     if name == "two_state":
         return build_two_state(args.two_state), {"two_state": args.two_state}
@@ -164,30 +177,18 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_scan(args) -> int:
     tol = _resolve(args, "tol", DEFAULT_REALITY_TOL)
-    d2 = _resolve(args, "d2", None)
-    if d2 is None:
-        raise SystemExit(2)
-    d = math.sqrt(d2)
+    d2 = _require_d2(args)
+    if d2 < 0:
+        raise ValueError("d2 must be non-negative")
     a_min, a_max, b_min, b_max = _resolve(args, "range", (-4.0, 4.0, -4.0, 4.0), _parse_range)
     na, nb = _resolve(args, "res", (81, 81), _parse_res)
-    a_values = np.linspace(a_min, a_max, na)
-    b_values = np.linspace(b_min, b_max, nb)
-
-    def scan_row(a):
-        return [(a, b, in_domain(a, b, d, tol)) for b in b_values]
-
-    threads = int(os.environ.get("QUASIH_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            row_results = list(pool.map(scan_row, a_values))
-    else:
-        row_results = [scan_row(a) for a in a_values]
-
-    rows = [
-        (a, b, verdict.inside, verdict.margin)
-        for row in row_results
-        for (a, b, verdict) in row
-    ]
+    grid = scan_grid((a_min, a_max), (b_min, b_max), math.sqrt(d2), (na, nb), tol)
+    rows = zip(
+        np.repeat(grid.a_values, nb).tolist(),
+        np.tile(grid.b_values, na).tolist(),
+        grid.inside.ravel().tolist(),
+        grid.margin.ravel().tolist(),
+    )
     text = csv_rows(["a", "b", "inside", "margin"], rows)
     meta = {
         "command": "scan",
@@ -222,9 +223,7 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_pmn(args) -> int:
-    d2 = _resolve(args, "d2", None)
-    if d2 is None:
-        raise SystemExit(2)
+    d2 = _require_d2(args)
     points = pmn_points(d2)
     doc = {
         "d2": d2,
@@ -279,7 +278,7 @@ def _cmd_perturb(args) -> int:
         doc["critical"] = {"alpha_cs": alpha_cs, "e_cs": e_cs}
     if args.series is not None:
         if args.alpha is None or args.order is None:
-            raise SystemExit(2)
+            _usage_error("--series needs --alpha and --order")
         series = band_series_E1 if args.series == "e1" else band_series_E3
         doc["series"] = {
             "which": args.series,
@@ -298,15 +297,13 @@ def _cmd_perturb(args) -> int:
             "inside_exact": in_domain(a, 0.0, c).inside,
         }
     if not doc:
-        raise SystemExit(2)
+        _usage_error("perturb needs --critical, --series or --spike")
     _emit(args, json_dumps(doc), {"command": "perturb"})
     return 0
 
 
 def _cmd_fig1(args) -> int:
-    d2 = _resolve(args, "d2", None)
-    if d2 is None:
-        raise SystemExit(2)
+    d2 = _require_d2(args)
     geo = figure1_geometry(d2)
     doc = {
         "d2": d2,
@@ -480,7 +477,7 @@ def main(argv=None) -> int:
     except (BoundaryTraceError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,13 +12,13 @@ d^2 = (b-3)(a+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from quasih.model import _require_finite
-from quasih.secular import constant_term, hyperbola_factors, reduced_AB
+from quasih.secular import _reduced_AB, constant_term, hyperbola_factors, reduced_AB
 
 #: Default absolute tolerance on the membership margin.
 DEFAULT_MARGIN_TOL = 1e-9
@@ -58,21 +58,20 @@ class PMNPoint:
 
 
 @dataclass(frozen=True)
-class BoundaryCurve:
-    """Ordered polyline of boundary points with per-point |margin|."""
-
-    points: tuple[tuple[float, float], ...]
-    fixed: dict = field(default_factory=dict)
-    residuals: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
 class GridScan:
-    """Row-major grid of verdicts over an (a, b) rectangle at fixed d."""
+    """Membership over an (a, b) rectangle at fixed d, as arrays.
+
+    ``A``, ``B``, ``margin`` and ``inside`` have shape (len(a_values),
+    len(b_values)); cell [i, j] holds the :func:`in_domain` verdict at
+    (a_values[i], b_values[j]).
+    """
 
     a_values: np.ndarray
     b_values: np.ndarray
-    verdicts: list  # list of rows, one DomainVerdict per (a, b)
+    A: np.ndarray
+    B: np.ndarray
+    margin: np.ndarray
+    inside: np.ndarray
 
 
 def in_domain(
@@ -221,18 +220,24 @@ def scan_grid(
     resolution: tuple[int, int],
     tol: float = DEFAULT_MARGIN_TOL,
 ) -> GridScan:
-    """Verdict grid over a rectangle in the a-b plane at fixed d.
+    """Membership grid over a rectangle in the a-b plane at fixed d.
 
-    Deterministic for fixed inputs regardless of evaluation order; rows
-    run over a, columns over b.
+    Rows run over a, columns over b.  The grid is evaluated in one numpy
+    broadcast, and every cell equals the scalar :func:`in_domain` verdict
+    bit for bit.
     """
     na, nb = resolution
     if na < 1 or nb < 1:
         raise ValueError("resolution counts must be >= 1")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    _require_finite(a=a_range[0], b=b_range[0], d=d)
+    _require_finite(a=a_range[1], b=b_range[1])
     a_values = np.linspace(a_range[0], a_range[1], na)
     b_values = np.linspace(b_range[0], b_range[1], nb)
-    verdicts = [[in_domain(a, b, d, tol) for b in b_values] for a in a_values]
-    return GridScan(a_values=a_values, b_values=b_values, verdicts=verdicts)
+    A, B = _reduced_AB(a_values[:, None], b_values[None, :], d)
+    margin = np.minimum(np.minimum(A, A * A - B), B)
+    return GridScan(a_values, b_values, A, B, margin, margin >= -tol)
 
 
 def _hyperbola_polyline(

@@ -94,9 +94,19 @@ def reduced_AB(a: float, b: float, d: float) -> tuple[float, float]:
     B coincides with C(a, b, d, d).
     """
     _require_finite(a=a, b=b, d=d)
-    A = 5.0 - d * d - 0.5 * (a * a + b * b)
-    B = (d * d - a * b + 3.0) ** 2 - (b - 3.0 * a) ** 2
-    return A, B
+    return _reduced_AB(a, b, d)
+
+
+def _reduced_AB(a, b, d):
+    """Unchecked :func:`reduced_AB` for floats or broadcastable arrays.
+
+    Only +, - and * are used, so an array cell and the same point as
+    Python floats give bit-identical results.
+    """
+    dd = d * d
+    p = dd - a * b + 3.0
+    q = b - 3.0 * a
+    return 5.0 - dd - 0.5 * (a * a + b * b), p * p - q * q
 
 
 def hyperbola_factors(a: float, b: float) -> tuple[float, float]:

@@ -46,20 +46,6 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
     return {"n": int(m.shape[0]), "rows": [[float(v) for v in row] for row in m]}
 
 
-def matrix_from_json_dict(d: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json_dict`."""
-    m = np.array(d["rows"], dtype=float)
-    if m.shape != (d["n"], d["n"]):
-        raise ValueError("row data inconsistent with declared dimension")
-    return m
-
-
-def matrix_to_csv(m: np.ndarray) -> str:
-    """n rows of n comma-separated decimals."""
-    m = np.asarray(m, dtype=float)
-    return "\n".join(",".join(fmt(v) for v in row) for row in m) + "\n"
-
-
 def csv_rows(header: list[str], rows) -> str:
     """CSV text with header; numeric cells at full precision."""
     lines = [",".join(header)]

@@ -62,6 +62,31 @@ def test_scan_requires_d2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["spectrum"], "--two-state"),
+        (["scan"], "--d2"),
+        (["pmn"], "--d2"),
+        (["fig1"], "--d2"),
+        (["perturb"], "--spike"),
+    ],
+)
+def test_missing_arguments_print_one_error_line(capsys, argv, missing):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert missing in err
+
+
+def test_scan_rejects_negative_d2(capsys):
+    code = main(["scan", "--d2", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: d2 must be non-negative\n"
+
+
 def test_out_file_and_meta_sidecar(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, printed = run(
@@ -95,6 +120,14 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
     cfg.write_text("no equals sign here\n")
     code, _ = run(capsys, "scan", "--config", str(cfg))
     assert code == 2
+
+
+def test_config_bad_range_is_a_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("range = 1:2:3\n")
+    code = main(["scan", "--d2", "1", "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: range must be a_min:a_max:b_min:b_max\n"
 
 
 def test_boundary_success_and_failure(capsys):

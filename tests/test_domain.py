@@ -19,7 +19,7 @@ from quasih import (
     reduced_AB,
     scan_grid,
 )
-from quasih.domain import BoundaryTraceError
+from quasih.domain import DEFAULT_MARGIN_TOL, BoundaryTraceError
 
 finite4 = st.floats(min_value=-4, max_value=4, allow_nan=False)
 
@@ -178,32 +178,61 @@ def test_boundary_ray_outside_center_rejected():
 
 def test_scan_grid_small_inside():
     grid = scan_grid((-0.5, 0.5), (-0.5, 0.5), 0.0, (3, 3))
-    assert all(v.inside for row in grid.verdicts for v in row)
+    assert grid.inside.shape == (3, 3)
+    assert grid.inside.all()
 
 
 def test_scan_grid_single_point_matches_in_domain():
     grid = scan_grid((0.3, 0.3), (-0.2, -0.2), 0.5, (1, 1))
-    assert grid.verdicts[0][0] == in_domain(0.3, -0.2, 0.5)
+    v = in_domain(0.3, -0.2, 0.5)
+    assert (grid.A[0, 0], grid.B[0, 0], grid.margin[0, 0]) == (v.A, v.B, v.margin)
+    assert grid.inside[0, 0] == v.inside
+    assert (abs(grid.margin[0, 0]) <= DEFAULT_MARGIN_TOL) == v.on_boundary
 
 
 def test_scan_grid_inside_region_contained_in_circle_and_B_region():
     d2 = 8.0 / 5.0
     d = math.sqrt(d2)
     grid = scan_grid((-4, 4), (-4, 4), d, (41, 41))
-    inside_count = 0
-    for i, a in enumerate(grid.a_values):
-        for j, b in enumerate(grid.b_values):
-            v = grid.verdicts[i][j]
-            if v.inside:
-                inside_count += 1
-                assert a * a + b * b <= 10 - 2 * d2 + 1e-9
-                assert v.B >= -1e-9
-    assert inside_count > 0
+    a, b = np.meshgrid(grid.a_values, grid.b_values, indexing="ij")
+    inside = grid.inside
+    assert inside.sum() > 0
+    assert np.all(a[inside] ** 2 + b[inside] ** 2 <= 10 - 2 * d2 + 1e-9)
+    assert np.all(grid.B[inside] >= -1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a_range=st.tuples(finite4, finite4),
+    b_range=st.tuples(finite4, finite4),
+    d=st.floats(min_value=0, max_value=2.5),
+    resolution=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    tol=st.sampled_from([1e-12, DEFAULT_MARGIN_TOL, 1e-3]),
+)
+def test_scan_grid_cells_equal_scalar_in_domain(a_range, b_range, d, resolution, tol):
+    grid = scan_grid(a_range, b_range, d, resolution, tol)
+    for i, a in enumerate(grid.a_values.tolist()):
+        for j, b in enumerate(grid.b_values.tolist()):
+            v = in_domain(a, b, d, tol)
+            cell = (grid.A[i, j], grid.B[i, j], grid.margin[i, j])
+            assert [float(x).hex() for x in cell] == [x.hex() for x in (v.A, v.B, v.margin)]
+            assert grid.inside[i, j] == v.inside
 
 
 def test_scan_grid_rejects_zero_size():
     with pytest.raises(ValueError):
         scan_grid((-1, 1), (-1, 1), 0.0, (0, 3))
+
+
+def test_scan_grid_rejects_bad_tolerance_and_non_finite_inputs():
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        scan_grid((-1, 1), (-1, 1), 0.0, (3, 3), tol=0.0)
+    with pytest.raises(ValueError, match="a must be finite"):
+        scan_grid((-math.inf, 1), (-1, 1), 0.0, (3, 3))
+    with pytest.raises(ValueError, match="b must be finite"):
+        scan_grid((-1, 1), (-1, math.nan), 0.0, (3, 3))
+    with pytest.raises(ValueError, match="d must be finite"):
+        scan_grid((-1, 1), (-1, 1), math.inf, (3, 3))
 
 
 def test_figure1_geometry_reference_case():
