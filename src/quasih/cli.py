@@ -329,6 +329,8 @@ def _cmd_fig2(args) -> int:
     coef_c = _resolve(args, "coef_c", 0.0)
     t_max = _resolve(args, "t_max", 0.02)
     t_steps = int(_resolve(args, "t_steps", 20))
+    if t_steps < 1:
+        raise ValueError("t-steps must be >= 1")
     res = int(_resolve(args, "res_a", 101))
     corner = (args.corner_a, args.corner_c)
     rows = []

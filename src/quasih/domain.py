@@ -128,8 +128,9 @@ def pmn_points(d2: float, n_scan: int = 4096) -> list[PMNPoint]:
 
     Intersects the centered circle of radius sqrt(10 - 2 d^2) with each
     hyperbola branch by a 1-D angular root search; the list may be empty
-    when the circle misses both hyperbolas.  The point count is 0, 2 or 4
-    and the set is symmetric under (a, b) -> (-a, -b).
+    when the circle misses both hyperbolas.  There are up to 8 points
+    (8 for small d^2, e.g. d^2 = 0.1; 4 at d^2 = 1.6), and the set is
+    symmetric under (a, b) -> (-a, -b).
     """
     if not 0.0 < d2 < 5.0:
         raise ValueError("d2 must lie in (0, 5)")

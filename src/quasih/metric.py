@@ -9,9 +9,11 @@ Hermitian solution splits into a real symmetric part (a solution) and an
 antisymmetric imaginary part, and the positive-definiteness question
 lives entirely in the symmetric sector.
 
+A positive-definite solution exists exactly when H is diagonalizable
+with a real spectrum; the dyad sum_n u_n u_n^T over the left
+eigenvectors is then one, and :func:`find_positive` starts from it.
 For the one-parameter band model the closed four-parameter family
-Theta(p, q, r, s) is available in closed form; inside the reality domain
-the family contains positive-definite members, and the best achievable
+Theta(p, q, r, s) is available in closed form; the best achievable
 conditioning degrades to zero as the exceptional point alpha^2 = 2/5 is
 approached (the metric becomes singular on the domain boundary).
 """
@@ -25,7 +27,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from quasih.model import _require_finite, build_alpha
-from quasih.spectrum import Reality, numeric_energies
 
 #: Default relative SVD threshold for nullspace rank decisions.
 DEFAULT_RANK_TOL = 1e-10
@@ -51,8 +52,10 @@ class PositivityCertificate:
     ``coefficients`` are the weights over the family basis of the
     reported candidate, normalized to unit largest eigenvalue of Theta;
     ``min_eigenvalue`` is its smallest eigenvalue after that
-    normalization.  A negative result certifies failure only at the
-    search resolution.
+    normalization, and ``positive`` says whether it exceeds the
+    positivity tolerance.  Inside the reality domain a positive member
+    exists by construction; outside it none exists, and the reported
+    candidate is the best deterministic start after a local polish.
     """
 
     coefficients: tuple[float, ...]
@@ -183,45 +186,34 @@ def _candidate(fam: MetricFamily, coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (theta + theta.T)
 
 
-def find_positive(
-    fam: MetricFamily,
-    n_random: int = 10_000,
-    seed: int = 0,
-    pos_tol: float = 1e-12,
-) -> PositivityCertificate:
-    """Search the family span for a positive-definite metric.
+def find_positive(fam: MetricFamily, pos_tol: float = 1e-12) -> PositivityCertificate:
+    """Best positive-definite metric in the family span, found deterministically.
 
-    When the spectrum of the underlying H is real and non-degenerate the
-    left-eigenvector dyad sum Theta = sum_n u_n u_n^T is an exact member
-    of the span and serves as the primary candidate; a random-restart
-    search over basis coefficients (plus a local Nelder-Mead polish)
-    covers the general case.  The returned min eigenvalue refers to the
-    candidate normalized to unit largest eigenvalue; a negative result is
-    a certificate of failure at this search resolution only.
+    H is quasi-Hermitian exactly when it is diagonalizable with a real
+    spectrum, and every metric is then sum_n w_n u_n u_n^T with w_n > 0
+    over its left eigenvectors u_n.  The dyad with w_n = 1 over the unit
+    left eigenvectors of the real eigenvalues is therefore positive
+    definite for an all-real spectrum (positive semidefinite for a mixed
+    one); it and the signed basis elements seed a Nelder-Mead polish of
+    the normalized smallest eigenvalue.  Outside the domain the reported
+    candidate is the best of these starts after the polish, not a proven
+    optimum.
     """
     if fam.dim < 1:
         raise ValueError("family must contain at least one basis element")
-    rng = np.random.default_rng(seed)
 
-    candidates: list[np.ndarray] = []
-
-    spec = numeric_energies(fam.h)
-    if spec.classification is Reality.ALL_REAL:
-        # Left eigenvectors: rows of inv(V) for H = V diag(E) V^{-1}.
-        w, v = np.linalg.eig(fam.h)
-        if np.max(np.abs(w.imag)) < 1e-9:
-            left = np.linalg.inv(v.real if np.max(np.abs(v.imag)) < 1e-9 else v)
-            left = np.real(left)
-            rows = left / np.linalg.norm(left, axis=1, keepdims=True)
-            dyad = rows.T @ rows
-            candidates.append(_family_coefficients(fam, dyad))
-
-    candidates.extend(rng.standard_normal((n_random, fam.dim)))
+    candidates = []
+    # Left eigenvectors of H (u^T H = E u^T) are the eigenvectors of H^T.
+    w, u = np.linalg.eig(fam.h.T)
+    real = np.abs(w.imag) < 1e-9
+    if real.any():
+        left = np.real(u[:, real])
+        candidates.append(_family_coefficients(fam, left @ left.T))
+    candidates.extend(np.eye(fam.dim))
 
     best_coeffs = None
     best_min = -math.inf
     for coeffs in candidates:
-        coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
         theta = _candidate(fam, coeffs)
         if np.max(np.abs(theta)) == 0.0:
             continue
@@ -262,16 +254,14 @@ def find_positive(
 ALPHA_CRITICAL = math.sqrt(2.0 / 5.0)
 
 
-def boundary_degeneracy_profile(
-    alphas, n_random: int = 2000, seed: int = 0
-) -> list[tuple[float, float]]:
+def boundary_degeneracy_profile(alphas) -> list[tuple[float, float]]:
     """Best positive-metric conditioning along the band coupling.
 
-    For each alpha in (0, sqrt(2/5)] the best positive Theta (unit
-    largest eigenvalue) is searched and its smallest eigenvalue reported;
-    the profile collapses toward zero as the exceptional point is
-    approached.  At alpha = sqrt(2/5) exactly, H is defective and the
-    profile value is NaN (flagged, not computed).
+    For each alpha in (0, sqrt(2/5)] the smallest eigenvalue of the best
+    positive Theta (unit largest eigenvalue) from :func:`find_positive`
+    is reported; the profile collapses toward zero as the exceptional
+    point is approached.  At alpha = sqrt(2/5) exactly, H is defective
+    and the profile value is NaN (flagged, not computed).
     """
     profile = []
     for alpha in alphas:
@@ -281,6 +271,5 @@ def boundary_degeneracy_profile(
             profile.append((alpha, math.nan))
             continue
         fam = metric_nullspace(build_alpha(alpha))
-        cert = find_positive(fam, n_random=n_random, seed=seed)
-        profile.append((alpha, cert.min_eigenvalue))
+        profile.append((alpha, find_positive(fam).min_eigenvalue))
     return profile

@@ -220,6 +220,13 @@ def test_fig2_scan(capsys):
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} <= {"0", "1"}
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_fig2_rejects_fewer_than_one_t_step(capsys, steps):
+    code = main(["fig2", "--t-steps", steps])
+    assert code == 2
+    assert capsys.readouterr().err == "error: t-steps must be >= 1\n"
+
+
 def test_dim_values(capsys):
     for n, expected in ((2, 1), (4, 4), (6, 9)):
         code, out = run(capsys, "dim", "--n", str(n))

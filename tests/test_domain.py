@@ -134,6 +134,23 @@ def test_pmn_counts_and_mirror_symmetry():
             assert mirror < 1e-9
 
 
+@pytest.mark.parametrize("d2, count", [(0.05, 8), (0.1, 8), (1.6, 4)])
+def test_pmn_point_count_up_to_eight(d2, count):
+    # below the tangency near d^2 = 0.136 the circle cuts each hyperbola
+    # branch twice more, giving 8 genuine points
+    points = pmn_points(d2)
+    assert len(points) == count
+    for p in points:
+        assert abs(p.a * p.a + p.b * p.b + 2.0 * d2 - 10.0) <= 1e-12
+        assert abs(constant_term(p.a, p.b, p.d, p.d)) <= 1e-12
+    gaps = [
+        math.hypot(p.a - q.a, p.b - q.b)
+        for i, p in enumerate(points)
+        for q in points[i + 1 :]
+    ]
+    assert min(gaps) > 1e-3
+
+
 def test_pmn_quadruple_merger_energy_scale():
     # Quadruple roots amplify coefficient rounding by a fourth root, so
     # double precision cannot push |E| below ~1e-4; assert the

@@ -20,6 +20,14 @@ CASES = {
         "boundary", "--center", "0", "0", "--direction", "1", "0.3", "--d", "0.5"
     ],
     "perturb_spike_0.3_0.3_0.01.json": ["perturb", "--spike", "0.3", "0.3", "0.01"],
+    "metric_alpha_0.3_basis.json": ["metric", "--alpha", "0.3", "--basis"],
+    "metric_alpha_0.3_basis_positivity.json": [
+        "metric", "--alpha", "0.3", "--basis", "--positivity"
+    ],
+    "metric_profile_0.05_0.6_5.csv": ["metric", "--profile", "0.05:0.6:5"],
+    "spectrum_alpha_0.3.json": ["spectrum", "--alpha", "0.3"],
+    "pmn_d2_1.6.json": ["pmn", "--d2", "1.6"],
+    "dim_n_4.txt": ["dim", "--n", "4"],
 }
 
 

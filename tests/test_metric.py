@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasih import (
+    ParamPoint,
     Reality,
     boundary_degeneracy_profile,
     build_alpha,
+    build_full,
     closed_form_band_metric,
     find_positive,
     metric_nullspace,
@@ -85,7 +89,7 @@ def test_nullspace_at_exceptional_point():
     # the family no longer contains a positive-definite member
     fam = metric_nullspace(build_alpha(ALPHA_CRITICAL))
     assert fam.dim >= 1
-    cert = find_positive(fam, n_random=2000)
+    cert = find_positive(fam)
     assert not cert.positive
 
 
@@ -99,6 +103,57 @@ def test_positive_inside_domain():
     w = np.linalg.eigvalsh(theta)
     assert w[0] > 0
     assert w[-1] == pytest.approx(1.0, rel=1e-6)
+
+
+# min_eigenvalue of the random-restart search that find_positive used
+# before it became deterministic
+SEARCH_REFERENCE = [
+    (0.1, 0.5222412545769198),
+    (0.5 * ALPHA_CRITICAL, 0.11850009143334203),
+    (0.3, 0.13344529343325504),
+    (0.5, 0.02421877138866568),
+    (0.99 * ALPHA_CRITICAL, 0.0007866936178347394),
+    (math.sqrt(0.399), 9.703808688233543e-05),
+]
+
+
+@pytest.mark.parametrize("alpha, expected", SEARCH_REFERENCE)
+def test_certificate_matches_search_reference(alpha, expected):
+    cert = find_positive(metric_nullspace(build_alpha(alpha)))
+    assert cert.positive
+    assert cert.min_eigenvalue == pytest.approx(expected, rel=1e-9)
+
+
+def left_dyad_ratio(h):
+    _, v = np.linalg.eig(h)
+    left = np.real(np.linalg.inv(np.real(v)))
+    rows = left / np.linalg.norm(left, axis=1, keepdims=True)
+    w = np.linalg.eigvalsh(rows.T @ rows)
+    return w[0] / w[-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.05, ALPHA_CRITICAL - 0.01))
+def test_certificate_inside_domain_is_positive_and_beats_the_dyad(alpha):
+    h = build_alpha(alpha)
+    cert = find_positive(metric_nullspace(h))
+    assert cert.positive
+    assert cert.min_eigenvalue >= left_dyad_ratio(h) - 1e-12
+
+
+def test_certificate_is_deterministic():
+    for alpha in (0.3, 0.7):
+        fam = metric_nullspace(build_alpha(alpha))
+        assert find_positive(fam) == find_positive(fam)
+
+
+def test_mixed_spectrum_outside_domain_is_semidefinite_not_positive():
+    h = build_full(ParamPoint(2.0, 1.0, 0.8, 0.8))
+    energies = np.linalg.eigvals(h)
+    assert np.sum(np.abs(energies.imag) < 1e-9) == 2
+    cert = find_positive(metric_nullspace(h))
+    assert cert.min_eigenvalue >= -1e-12
+    assert not cert.positive
 
 
 def test_no_positive_outside_domain():
