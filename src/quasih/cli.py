@@ -19,6 +19,7 @@ evaluation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -56,7 +57,7 @@ from quasih.perturb import (
     spike_membership,
     spike_point,
 )
-from quasih.serialize import csv_rows, fmt, json_dumps, matrix_to_json_dict
+from quasih.serialize import csv_rows, grid_csv, json_dumps, matrix_to_json_dict
 from quasih.spectrum import DEFAULT_REALITY_TOL, numeric_energies
 
 
@@ -183,13 +184,9 @@ def _cmd_scan(args) -> int:
     a_min, a_max, b_min, b_max = _resolve(args, "range", (-4.0, 4.0, -4.0, 4.0), _parse_range)
     na, nb = _resolve(args, "res", (81, 81), _parse_res)
     grid = scan_grid((a_min, a_max), (b_min, b_max), math.sqrt(d2), (na, nb), tol)
-    rows = zip(
-        np.repeat(grid.a_values, nb).tolist(),
-        np.tile(grid.b_values, na).tolist(),
-        grid.inside.ravel().tolist(),
-        grid.margin.ravel().tolist(),
+    text = grid_csv(
+        ["a", "b", "inside", "margin"], grid.a_values, grid.b_values, grid.inside, grid.margin
     )
-    text = csv_rows(["a", "b", "inside", "margin"], rows)
     meta = {
         "command": "scan",
         "d2": d2,
@@ -459,8 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves no state on it (config
+    values are read into each call's namespace)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     # Fold values like "-4:4:-4:4" into "--range=..." so argparse does not

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from quasih.model import _require_finite
 from quasih.secular import _reduced_AB, constant_term, hyperbola_factors, reduced_AB
@@ -105,6 +104,14 @@ def in_domain_rotated(sigma: float, delta: float, d: float) -> bool:
     """
     _require_finite(sigma=sigma, delta=delta, d=d)
     return (2.0 + sigma * delta) ** 2 >= d * d * (4.0 - sigma * sigma)
+
+
+def brentq(f, a, b, **kwargs):
+    """scipy.optimize.brentq, imported on first use: the module takes
+    longer to import than a grid scan takes to run."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    return scipy_brentq(f, a, b, **kwargs)
 
 
 def _circle_branch_roots(f, n_scan: int = 4096) -> list[float]:

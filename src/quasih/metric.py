@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from quasih.model import _require_finite, build_alpha
 
@@ -159,19 +158,28 @@ def closed_form_band_metric(
     )
 
 
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on first use: the module takes
+    longer to import than most requests take to run."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 def _signed_min_eig(theta: np.ndarray) -> tuple[float, float]:
     """Smallest eigenvalue after scaling to unit largest eigenvalue.
 
     The overall sign of a family member is free, so both Theta and
-    -Theta are considered; returns (normalized min eigenvalue, sign).
+    -Theta are considered; returns (normalized min eigenvalue, sign),
+    and (-inf, 1.0) for Theta = 0.
     """
     w = np.linalg.eigvalsh(theta)
-    best, sign = -math.inf, 1.0
-    if w[-1] > 0:
-        best, sign = w[0] / w[-1], 1.0
-    if w[0] < 0 and w[-1] / w[0] > best:
-        best, sign = w[-1] / w[0], -1.0
-    return best, sign
+    # The sign whose largest eigenvalue is also the largest in magnitude
+    # has the better ratio (Theta on a tie); dividing by that eigenvalue
+    # cannot overflow, even for a nearly singular Theta.
+    if w[-1] >= -w[0]:
+        return (w[0] / w[-1], 1.0) if w[-1] > 0 else (-math.inf, 1.0)
+    return w[-1] / w[0], -1.0
 
 
 def _family_coefficients(fam: MetricFamily, theta: np.ndarray) -> np.ndarray:

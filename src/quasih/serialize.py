@@ -3,18 +3,29 @@
 Floats are written with 17 significant digits ('.' decimal separator,
 no locale dependence), which round-trips float64 exactly; data files
 never contain timestamps, so equal inputs give byte-identical output.
+
+:func:`csv_rows` writes rows given one by one.  :func:`grid_csv` writes
+a membership grid over an (a, b) rectangle in a-major order (all b
+values for the first a, then the next a), with inside flags as 1/0; it
+formats each axis value and each margin once, and its text equals
+:func:`csv_rows` applied to the per-cell rows (a, b, inside, margin).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
 
+#: Format spec of every float cell: 17 significant digits.
+FLOAT_FORMAT = ".17g"
+
+
 def fmt(x: float) -> str:
     """A float at 17 significant digits."""
-    return format(float(x), ".17g")
+    return format(float(x), FLOAT_FORMAT)
 
 
 def _jsonable(obj):
@@ -59,4 +70,27 @@ def csv_rows(header: list[str], rows) -> str:
             else:
                 cells.append(fmt(v))
         lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _formatted(values) -> list[str]:
+    return [format(x, FLOAT_FORMAT) for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def grid_csv(header: list[str], a_values, b_values, inside, margin) -> str:
+    """CSV text of a grid, one row (a, b, inside, margin) per cell, a-major.
+
+    ``inside`` and ``margin`` have shape (len(a_values), len(b_values));
+    cell [i, j] belongs to (a_values[i], b_values[j]).
+    """
+    a_cells, b_cells = _formatted(a_values), _formatted(b_values)
+    inside = np.asarray(inside, dtype=bool)
+    margin = np.asarray(margin, dtype=float)
+    shape = (len(a_cells), len(b_cells))
+    if inside.shape != shape or margin.shape != shape:
+        raise ValueError(f"grid cells must have shape {shape}")
+    flags = ["1" if flag else "0" for flag in inside.ravel().tolist()]
+    rows = zip(itertools.product(a_cells, b_cells), flags, _formatted(margin))
+    lines = [",".join(header)]
+    lines.extend(f"{a},{b},{flag},{m}" for (a, b), flag, m in rows)
     return "\n".join(lines) + "\n"

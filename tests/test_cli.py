@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from quasih.cli import dim_domain, main
+from quasih.cli import _parser, dim_domain, main
 
 
 def run(capsys, *argv):
@@ -113,6 +113,19 @@ def test_config_file_precedence(tmp_path, capsys):
     _, explicit3 = run(capsys, "scan", "--d2", "3.0", "--res", "5x5")
     assert overridden == explicit3
     assert overridden != from_config
+
+
+def test_cached_parser_keeps_no_config_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("d2 = 0.3\nrange = -1:1:-1:1\nres = 3x3\ntol = 0.5\n")
+    _, with_config = run(capsys, "scan", "--config", str(cfg))
+    hits = _parser.cache_info().hits
+    _, after_config = run(capsys, "scan", "--d2", "1.6")
+    assert _parser.cache_info().hits == hits + 1
+    _parser.cache_clear()
+    _, fresh = run(capsys, "scan", "--d2", "1.6")
+    assert after_config == fresh
+    assert with_config != fresh
 
 
 def test_config_rejects_malformed_line(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasih import (
@@ -20,6 +20,7 @@ from quasih import (
     scan_grid,
 )
 from quasih.domain import DEFAULT_MARGIN_TOL, BoundaryTraceError
+from quasih.serialize import csv_rows, grid_csv
 
 finite4 = st.floats(min_value=-4, max_value=4, allow_nan=False)
 
@@ -234,6 +235,41 @@ def test_scan_grid_cells_equal_scalar_in_domain(a_range, b_range, d, resolution,
             cell = (grid.A[i, j], grid.B[i, j], grid.margin[i, j])
             assert [float(x).hex() for x in cell] == [x.hex() for x in (v.A, v.B, v.margin)]
             assert grid.inside[i, j] == v.inside
+
+
+def per_cell_csv(grid) -> str:
+    """Reference: csv_rows over the zipped per-cell rows (a, b, inside, margin)."""
+    na, nb = grid.margin.shape
+    rows = zip(
+        np.repeat(grid.a_values, nb).tolist(),
+        np.tile(grid.b_values, na).tolist(),
+        grid.inside.ravel().tolist(),
+        grid.margin.ravel().tolist(),
+    )
+    return csv_rows(["a", "b", "inside", "margin"], rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a_range=st.tuples(finite4, finite4),
+    b_range=st.tuples(finite4, finite4),
+    d=st.floats(min_value=0, max_value=2.5),
+    resolution=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+)
+# Axes through -0.0 and 0.0, which print as "-0" and "0".
+@example(a_range=(2.0, -0.0), b_range=(-1.0, 1.0), d=0.5, resolution=(3, 5))
+@example(a_range=(0.0, -0.0), b_range=(-0.0, 0.0), d=0.0, resolution=(2, 2))
+def test_grid_csv_equals_per_cell_rows(a_range, b_range, d, resolution):
+    grid = scan_grid(a_range, b_range, d, resolution)
+    header = ["a", "b", "inside", "margin"]
+    text = grid_csv(header, grid.a_values, grid.b_values, grid.inside, grid.margin)
+    assert text == per_cell_csv(grid)
+
+
+def test_grid_csv_rejects_cells_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+        grid_csv(["a", "b", "inside", "margin"], [0.0, 1.0], [0.0, 1.0, 2.0],
+                 np.ones((3, 2), dtype=bool), np.zeros((3, 2)))
 
 
 def test_scan_grid_rejects_zero_size():

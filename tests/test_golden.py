@@ -5,16 +5,24 @@ a flag or the formatting shows up as a diff.  To update them after an
 intended change, write each command's stdout to its file.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quasih
 from quasih.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = {
     "scan_d2_1.6_res_11x11.csv": ["scan", "--d2", "1.6", "--res", "11x11"],
+    "scan_d2_0.3_range_-4_4_-2_3_res_7x13.csv": [
+        "scan", "--d2", "0.3", "--range=-4:4:-2:3", "--res", "7x13"
+    ],
     "fig2_t_steps_3_res_a_11.csv": ["fig2", "--t-steps", "3", "--res-a", "11"],
     "boundary_center_0_0_direction_1_0.3_d_0.5.json": [
         "boundary", "--center", "0", "0", "--direction", "1", "0.3", "--d", "0.5"
@@ -28,7 +36,13 @@ CASES = {
     "spectrum_alpha_0.3.json": ["spectrum", "--alpha", "0.3"],
     "pmn_d2_1.6.json": ["pmn", "--d2", "1.6"],
     "dim_n_4.txt": ["dim", "--n", "4"],
+    "fig1_d2_1.6.json": ["fig1", "--d2", "1.6"],
+    "perturb_series_e3_order_6_alpha_0.3.json": [
+        "perturb", "--series", "e3", "--order", "6", "--alpha", "0.3"
+    ],
+    "perturb_critical.json": ["perturb", "--critical"],
 }
+SCANS = sorted(name for name in CASES if name.startswith("scan_"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -39,7 +53,38 @@ def test_stdout_matches_golden(name, capsys):
 
 def test_scan_out_file_and_sidecar_match_golden(tmp_path):
     out = tmp_path / "scan.csv"
-    name = "scan_d2_1.6_res_11x11.csv"
-    assert main([*CASES[name], "--out", str(out)]) == 0
-    assert out.read_text() == (GOLDEN / name).read_text()
-    assert Path(f"{out}.meta.json").read_text() == (GOLDEN / f"{name}.meta.json").read_text()
+    for name in SCANS:
+        assert main([*CASES[name], "--out", str(out)]) == 0
+        assert out.read_text() == (GOLDEN / name).read_text()
+        assert Path(f"{out}.meta.json").read_text() == (GOLDEN / f"{name}.meta.json").read_text()
+
+
+# A scan needs no scipy.optimize; pmn then loads it on first use.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import quasih, quasih.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert quasih.cli.main(["scan", "--d2", "1", "--res", "3x3"]) == 0
+after_scan = "scipy.optimize" in sys.modules
+pmn = io.StringIO()
+with contextlib.redirect_stdout(pmn):
+    assert quasih.cli.main(["pmn", "--d2", "1.6"]) == 0
+print(json.dumps({"after_scan": after_scan, "after_pmn": "scipy.optimize" in sys.modules,
+                  "pmn": pmn.getvalue()}))
+"""
+
+
+def test_scan_does_not_import_scipy_optimize():
+    src = str(Path(quasih.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert not report["after_scan"]
+    assert report["after_pmn"]
+    assert report["pmn"] == (GOLDEN / "pmn_d2_1.6.json").read_text()

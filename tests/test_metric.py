@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasih import (
@@ -16,7 +17,7 @@ from quasih import (
     metric_nullspace,
     numeric_energies,
 )
-from quasih.metric import ALPHA_CRITICAL
+from quasih.metric import ALPHA_CRITICAL, _signed_min_eig
 
 
 def equation_residual(h, theta):
@@ -154,6 +155,40 @@ def test_mixed_spectrum_outside_domain_is_semidefinite_not_positive():
     cert = find_positive(metric_nullspace(h))
     assert cert.min_eigenvalue >= -1e-12
     assert not cert.positive
+
+
+def test_defective_h_is_not_certified_and_raises_no_warning():
+    # A Jordan block's family has a nearly singular member: its tiny
+    # negative eigenvalue must not overflow the ratio w[-1] / w[0].
+    fam = metric_nullspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = find_positive(fam)
+    assert cert.min_eigenvalue == 0.0
+    assert not cert.positive
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eigenvalues=st.lists(
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=4
+    ),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+)
+@example(eigenvalues=[-5e-324, 1.0], scale=1.0)
+@example(eigenvalues=[-1.0, 5e-324], scale=1.0)
+@example(eigenvalues=[-2.0, 2.0], scale=1.0)
+@example(eigenvalues=[0.0, 0.0], scale=1.0)
+def test_signed_min_eig_is_the_better_of_both_signs(eigenvalues, scale):
+    theta = np.diag(np.array(eigenvalues) * scale)
+    w = np.linalg.eigvalsh(theta)
+    with np.errstate(all="ignore"):
+        plus = w[0] / w[-1] if w[-1] > 0 else -math.inf
+        minus = w[-1] / w[0] if w[0] < 0 else -math.inf
+    expected = (minus, -1.0) if minus > plus else (plus, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _signed_min_eig(theta) == expected
 
 
 def test_no_positive_outside_domain():
