@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -59,6 +60,11 @@ from quasih.perturb import (
 )
 from quasih.serialize import csv_rows, grid_csv, json_dumps, matrix_to_json_dict
 from quasih.spectrum import DEFAULT_REALITY_TOL, numeric_energies
+
+
+#: Largest scan grid, in cells: 2000x2000.  A grid holds several float64
+#: arrays of this size and its CSV one row per cell.
+MAX_SCAN_CELLS = 4_000_000
 
 
 def dim_domain(n: int) -> int:
@@ -183,6 +189,8 @@ def _cmd_scan(args) -> int:
         raise ValueError("d2 must be non-negative")
     a_min, a_max, b_min, b_max = _resolve(args, "range", (-4.0, 4.0, -4.0, 4.0), _parse_range)
     na, nb = _resolve(args, "res", (81, 81), _parse_res)
+    if na * nb > MAX_SCAN_CELLS:
+        raise ValueError(f"resolution {na}x{nb} exceeds {MAX_SCAN_CELLS} cells")
     grid = scan_grid((a_min, a_max), (b_min, b_max), math.sqrt(d2), (na, nb), tol)
     text = grid_csv(
         ["a", "b", "inside", "margin"], grid.a_values, grid.b_values, grid.inside, grid.margin
@@ -463,13 +471,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: A negative float in exponent form, which argparse (Python 3.11 and other
+#: versions whose negative-number pattern has no exponent) takes for an
+#: option string.
+_NEGATIVE_EXPONENT_FORM = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
+def _plain_number(token: str) -> str:
+    """A negative float such as "-8.4e-05" written out without the exponent,
+    in the shortest positional form that parses to the same float."""
+    if _NEGATIVE_EXPONENT_FORM.fullmatch(token):
+        value = float(token)
+        if math.isfinite(value):
+            return np.format_float_positional(value, trim="-")
+    return token
+
+
 def main(argv=None) -> int:
     parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     # Fold values like "-4:4:-4:4" into "--range=..." so argparse does not
     # mistake them for option strings.
-    argv = list(argv)
+    argv = [_plain_number(token) for token in argv]
     for i, token in enumerate(argv[:-1]):
         if token == "--range" and argv[i + 1].startswith("-"):
             argv[i : i + 2] = [f"--range={argv[i + 1]}"]

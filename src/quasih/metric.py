@@ -12,6 +12,9 @@ lives entirely in the symmetric sector.
 A positive-definite solution exists exactly when H is diagonalizable
 with a real spectrum; the dyad sum_n u_n u_n^T over the left
 eigenvectors is then one, and :func:`find_positive` starts from it.
+Outside the domain (any non-real eigenvalue) no positive Theta exists,
+and :func:`find_positive` reports the best deterministic start,
+unpolished, as not positive.
 For the one-parameter band model the closed four-parameter family
 Theta(p, q, r, s) is available in closed form; the best achievable
 conditioning degrades to zero as the exceptional point alpha^2 = 2/5 is
@@ -54,7 +57,8 @@ class PositivityCertificate:
     normalization, and ``positive`` says whether it exceeds the
     positivity tolerance.  Inside the reality domain a positive member
     exists by construction; outside it none exists, and the reported
-    candidate is the best deterministic start after a local polish.
+    candidate is the best deterministic start, unpolished, with
+    ``positive`` False.
     """
 
     coefficients: tuple[float, ...]
@@ -189,8 +193,10 @@ def _family_coefficients(fam: MetricFamily, theta: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _candidate(fam: MetricFamily, coeffs: np.ndarray) -> np.ndarray:
-    theta = sum(c * e for c, e in zip(coeffs, fam.basis))
+def _candidate(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Symmetrized sum_k c_k E_k over the stacked basis; the reduction adds
+    in basis order from 0.0, exactly as Python's sum over the list does."""
+    theta = np.add.reduce(coeffs[:, None, None] * stack, axis=0, initial=0.0)
     return 0.5 * (theta + theta.T)
 
 
@@ -203,9 +209,10 @@ def find_positive(fam: MetricFamily, pos_tol: float = 1e-12) -> PositivityCertif
     left eigenvectors of the real eigenvalues is therefore positive
     definite for an all-real spectrum (positive semidefinite for a mixed
     one); it and the signed basis elements seed a Nelder-Mead polish of
-    the normalized smallest eigenvalue.  Outside the domain the reported
-    candidate is the best of these starts after the polish, not a proven
-    optimum.
+    the normalized smallest eigenvalue.  When any eigenvalue is non-real
+    no positive Theta exists, so there is no polish: the certificate is
+    the best of these starts, not positive (about 0 for a mixed spectrum,
+    a basis element's ratio for an all-complex one).
     """
     if fam.dim < 1:
         raise ValueError("family must contain at least one basis element")
@@ -218,11 +225,12 @@ def find_positive(fam: MetricFamily, pos_tol: float = 1e-12) -> PositivityCertif
         left = np.real(u[:, real])
         candidates.append(_family_coefficients(fam, left @ left.T))
     candidates.extend(np.eye(fam.dim))
+    stack = np.stack(fam.basis)
 
     best_coeffs = None
     best_min = -math.inf
     for coeffs in candidates:
-        theta = _candidate(fam, coeffs)
+        theta = _candidate(stack, coeffs)
         if np.max(np.abs(theta)) == 0.0:
             continue
         m, sign = _signed_min_eig(theta)
@@ -230,23 +238,26 @@ def find_positive(fam: MetricFamily, pos_tol: float = 1e-12) -> PositivityCertif
             best_min, best_coeffs = m, sign * coeffs
 
     def objective(coeffs: np.ndarray) -> float:
-        theta = _candidate(fam, coeffs)
+        theta = _candidate(stack, coeffs)
         if np.max(np.abs(theta)) == 0.0:
             return 1.0
         return -_signed_min_eig(theta)[0]
 
-    res = minimize(
-        objective,
-        best_coeffs,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
-    )
-    if -res.fun > best_min:
-        m, sign = _signed_min_eig(_candidate(fam, res.x))
-        best_min, best_coeffs = m, sign * res.x
+    # No positive Theta exists for a non-real spectrum, so the best start
+    # is reported as it is: the polish could not change the verdict.
+    if real.all():
+        res = minimize(
+            objective,
+            best_coeffs,
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
+        )
+        if -res.fun > best_min:
+            m, sign = _signed_min_eig(_candidate(stack, res.x))
+            best_min, best_coeffs = m, sign * res.x
 
     # Report coefficients scaled to unit largest eigenvalue of Theta.
-    w = np.linalg.eigvalsh(_candidate(fam, best_coeffs))
+    w = np.linalg.eigvalsh(_candidate(stack, best_coeffs))
     if w[-1] > 0:
         best_coeffs = np.asarray(best_coeffs) / w[-1]
     # Positivity below numerical noise cannot be certified (e.g. the

@@ -1,9 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from quasih.cli import _parser, dim_domain, main
+import quasih.cli
+from quasih.cli import MAX_SCAN_CELLS, _parser, dim_domain, main
 
 
 def run(capsys, *argv):
@@ -85,6 +87,31 @@ def test_scan_rejects_negative_d2(capsys):
     code = main(["scan", "--d2", "-1"])
     assert code == 2
     assert capsys.readouterr().err == "error: d2 must be non-negative\n"
+
+
+@pytest.mark.parametrize("res", ["20000x20000", "2001x2000", "1x4000001"])
+def test_scan_rejects_grids_above_the_cell_cap(res, capsys, monkeypatch):
+    # Without the cap the grid was allocated, ending in a numpy memory error.
+    def scan_grid(*args):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(quasih.cli, "scan_grid", scan_grid)
+    assert main(["scan", "--d2", "1", "--res", res]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: resolution ") and err.count("\n") == 1
+
+
+def test_scan_accepts_a_grid_at_the_cell_cap(capsys, monkeypatch):
+    calls = []
+
+    def scan_grid(*args):
+        calls.append(args)
+        return SimpleNamespace(a_values=[], b_values=[], inside=[], margin=[])
+
+    monkeypatch.setattr(quasih.cli, "scan_grid", scan_grid)
+    monkeypatch.setattr(quasih.cli, "grid_csv", lambda *args: "")
+    assert main(["scan", "--d2", "1", "--res", "2000x2000"]) == 0
+    assert calls[0][3] == (2000, 2000) and 2000 * 2000 == MAX_SCAN_CELLS
 
 
 def test_out_file_and_meta_sidecar(tmp_path, capsys):
@@ -179,6 +206,15 @@ def test_metric_dim_and_positivity(capsys):
     assert doc["dim"] == 4
     assert doc["residual"] <= 1e-9
     assert doc["positivity"]["positive"] is True
+
+
+@pytest.mark.parametrize("value", ["-8.436561610025706e-05", "-1E-3", "-5e-324", "-1e300"])
+def test_negative_values_in_exponent_form_are_numbers(value, tmp_path):
+    # argparse alone reads "-8.4e-05" as an option string and exits 2.
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--full", value, "-1", value, "0.2", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "spectrum.json.meta.json").read_text())
+    assert meta["full"] == [float(value), -1.0, float(value), 0.2]
 
 
 def test_metric_basis_output(capsys):

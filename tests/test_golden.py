@@ -32,6 +32,13 @@ CASES = {
     "metric_alpha_0.3_basis_positivity.json": [
         "metric", "--alpha", "0.3", "--basis", "--positivity"
     ],
+    # Outside D: the best deterministic start, unpolished and not positive.
+    "metric_alpha_0.7_basis_positivity.json": [
+        "metric", "--alpha", "0.7", "--basis", "--positivity"
+    ],
+    "metric_full_2_1_0.8_0.8_positivity.json": [
+        "metric", "--full", "2", "1", "0.8", "0.8", "--positivity"
+    ],
     "metric_profile_0.05_0.6_5.csv": ["metric", "--profile", "0.05:0.6:5"],
     "spectrum_alpha_0.3.json": ["spectrum", "--alpha", "0.3"],
     "pmn_d2_1.6.json": ["pmn", "--d2", "1.6"],

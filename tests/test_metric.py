@@ -14,10 +14,12 @@ from quasih import (
     build_full,
     closed_form_band_metric,
     find_positive,
+    in_domain,
     metric_nullspace,
     numeric_energies,
 )
-from quasih.metric import ALPHA_CRITICAL, _signed_min_eig
+import quasih.metric
+from quasih.metric import ALPHA_CRITICAL, _candidate, _signed_min_eig
 
 
 def equation_residual(h, theta):
@@ -197,6 +199,103 @@ def test_no_positive_outside_domain():
     cert = find_positive(fam)
     assert not cert.positive
     assert cert.min_eigenvalue <= 0
+
+
+def forbid_polish(monkeypatch):
+    def minimize(*args, **kwargs):
+        raise AssertionError("the polish ran on a non-real spectrum")
+
+    monkeypatch.setattr(quasih.metric, "minimize", minimize)
+
+
+# All complex at the two alphas, where the polish used to run to ~8,000
+# evaluations; two real and two complex at the --full point.  A search that
+# polishes every input fails here.
+@pytest.mark.parametrize(
+    "h",
+    [
+        build_alpha(0.7469316998166183),
+        build_alpha(0.6770304262188971),
+        build_full(ParamPoint(2.0, 1.0, 0.8, 0.8)),
+    ],
+)
+def test_non_real_spectrum_is_decided_without_the_polish(h, monkeypatch):
+    forbid_polish(monkeypatch)
+    assert not find_positive(metric_nullspace(h)).positive
+
+
+def near_boundary_full_points(n_rays=6, seed=6):
+    """(a, b, d, margin target) on seeded rays from the origin, bisected to
+    domain margin +1e-6 (inside D) and -1e-6 (outside)."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n_rays):
+        angle, d = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 0.9)
+        u = (math.cos(angle), math.sin(angle))
+        for target in (1e-6, -1e-6):
+            lo, hi = 0.0, 5.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if in_domain(mid * u[0], mid * u[1], d).margin > target:
+                    lo = mid
+                else:
+                    hi = mid
+            points.append((lo * u[0], lo * u[1], d, target))
+    return points
+
+
+# Verdicts recorded while the polish still ran on every input, so that
+# skipping it outside D changes none: inside D the certificate is positive
+# down to alpha^2 = 0.4 - 1e-10 and below pos_tol closer in; outside D it
+# is never positive.
+NEAR_EP_INSIDE = [(k, k <= 10) for k in range(3, 13)]
+
+
+@pytest.mark.parametrize("k, positive", NEAR_EP_INSIDE)
+def test_verdict_just_inside_the_exceptional_point(k, positive):
+    cert = find_positive(metric_nullspace(build_alpha(math.sqrt(0.4 - 10.0**-k))))
+    assert cert.positive is positive
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_verdict_just_outside_the_exceptional_point(k, monkeypatch):
+    forbid_polish(monkeypatch)
+    cert = find_positive(metric_nullspace(build_alpha(math.sqrt(0.4 + 10.0**-k))))
+    assert not cert.positive
+
+
+def test_verdicts_at_margin_one_millionth_from_the_boundary(monkeypatch):
+    for a, b, d, target in near_boundary_full_points():
+        fam = metric_nullspace(build_full(ParamPoint(a, b, d, d)))
+        with monkeypatch.context() as patch:
+            if target < 0:
+                forbid_polish(patch)
+            # As recorded with the polish on every input.
+            assert find_positive(fam).positive is (target > 0)
+
+
+coefficient = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([0.0, -0.0, -1.0, 5e-324])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.one_of(
+        st.builds(build_alpha, st.floats(0.01, 0.75)),
+        st.builds(
+            lambda p: build_full(ParamPoint(*p)),
+            st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+        ),
+    ),
+    coeffs=st.lists(coefficient, min_size=10, max_size=10),
+)
+def test_stacked_candidate_is_the_python_sum_bit_for_bit(model, coeffs):
+    fam = metric_nullspace(model)
+    c = np.array(coeffs[: fam.dim])
+    theta = sum(ck * e for ck, e in zip(c, fam.basis))
+    expected = 0.5 * (theta + theta.T)
+    assert _candidate(np.stack(fam.basis), c).tobytes() == expected.tobytes()
 
 
 def test_positivity_threshold_brackets_critical_coupling():
