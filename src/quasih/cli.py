@@ -4,16 +4,22 @@ Subcommands: spectrum, scan, boundary, pmn, metric, perturb, fig1, fig2,
 dim.  All data outputs are deterministic (no timestamps; floats at 17
 significant digits), so equal configurations produce byte-identical
 files.  When writing to a file, a sidecar ``<out>.meta.json`` records the
-resolved configuration.
+tool, its version, the subcommand and every option that is set (defaults
+included; ``--out``, ``--config`` and switches left off are not).
 
-Option precedence is flags > config file > built-in defaults; the config
-file (``--config``) is a flat ``key = value`` text file whose keys match
-the long option names with dashes replaced by underscores.
+The parser holds every option's type, default and requirement.  A config
+file (``--config``) is a flat ``key = value`` text file whose keys are
+the subcommand's long options with dashes replaced by underscores; a
+switch such as ``basis`` takes ``true`` or ``false``.  Its lines are read
+as ``--key value`` flags right after the subcommand, so flags on the
+command line win and config values pass the same checks.  ``--tol``
+exists only on spectrum, scan and boundary, which use it.
 
-Exit status: 0 on success, 1 on numerical failure, 2 on bad arguments
-(with a one-line ``error:`` message on stderr).  The ``QUASIH_THREADS``
-environment variable is accepted and ignored: the grid scan is one numpy
-evaluation.
+Exit status: :func:`main` returns 0 on success, 1 on numerical failure
+and 2 on a usage error, with a one-line ``error:`` message on stderr for
+1 and 2; only ``-h`` and ``--version`` raise ``SystemExit``.  The
+``QUASIH_THREADS`` environment variable is accepted and ignored: the grid
+scan is one numpy evaluation.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from quasih.domain import (
     scan_grid,
 )
 from quasih.metric import (
+    DEFAULT_RANK_TOL,
     boundary_degeneracy_profile,
-    closed_form_band_metric,
     find_positive,
     metric_nullspace,
 )
@@ -74,78 +80,76 @@ def dim_domain(n: int) -> int:
     return (n * n) // 4
 
 
-def _read_config(path: str) -> dict:
-    config = {}
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises ValueError on a usage error, so that
+    :func:`main` reports it in one line and returns 2 (argparse itself
+    prints its usage text and exits)."""
+
+    #: The subcommand parsers by name (set by :func:`build_parser`).
+    subcommands: dict[str, argparse.ArgumentParser]
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
+def _config_argv(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """The ``key = value`` lines of a config file as flags of ``command``."""
+    argv = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
             raise ValueError(f"bad config line: {raw!r}")
-        key, value = line.split("=", 1)
-        config[key.strip().replace("-", "_")] = value.strip()
-    return config
+        flag = "--" + key.replace("_", "-")
+        action = command._option_string_actions.get(flag)
+        if action is None or flag in ("--config", "--help"):
+            raise ValueError(f"{command.prog} has no config key {key!r}")
+        if action.nargs != 0:
+            argv += [flag, *(value.split() if action.nargs else [value])]
+        elif value not in ("true", "false"):
+            raise ValueError(f"config key {key!r} takes true or false")
+        elif value == "true":
+            argv.append(flag)
+    return argv
 
 
-def _resolve(args, name: str, default, cast=float):
-    """flags > config > default for a single option."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", {})
-    if name in config:
-        return cast(config[name])
-    return default
+def _config_path(argv: list[str]) -> str | None:
+    """The value of the last ``--config`` flag in argv."""
+    path = None
+    for token, following in zip(argv, [*argv[1:], None]):
+        if token == "--config":
+            path = following
+        elif token.startswith("--config="):
+            path = token[len("--config="):]
+    return path
 
 
-def _usage_error(message: str) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _require_d2(args) -> float:
-    d2 = _resolve(args, "d2", None)
-    if d2 is None:
-        _usage_error(f"{args.command} needs --d2")
-    return d2
-
-
-def _emit(args, text: str, meta: dict) -> None:
-    out = _resolve(args, "out", None, str)
-    if out is None:
+def _emit(args, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text)
         return
-    Path(out).write_text(text)
-    meta_doc = {"tool": "quasih", "version": __version__, **meta}
-    Path(out + ".meta.json").write_text(json_dumps(meta_doc))
-
-
-def _spectrum_json(spec) -> dict:
-    return {
-        "energies": [[e.real, e.imag] for e in spec.energies],
-        "classification": spec.classification.value,
-        "max_imag": spec.max_imag,
+    Path(args.out).write_text(text)
+    meta = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("out", "config", "func") and value is not None and value is not False
     }
+    Path(args.out + ".meta.json").write_text(
+        json_dumps({"tool": "quasih", "version": __version__, **meta})
+    )
 
 
-def _select_matrix(args):
-    chosen = [
-        name
-        for name in ("two_state", "full", "band", "alpha")
-        if getattr(args, name, None) is not None
-    ]
-    if len(chosen) != 1:
-        _usage_error("give exactly one of --two-state, --full, --band, --alpha")
-    name = chosen[0]
-    if name == "two_state":
-        return build_two_state(args.two_state), {"two_state": args.two_state}
-    if name == "full":
-        a, b, c, d = args.full
-        return build_full(ParamPoint(a, b, c, d)), {"full": list(args.full)}
-    if name == "band":
-        a, c = args.band
-        return build_band(a, c), {"band": list(args.band)}
-    return build_alpha(args.alpha), {"alpha": args.alpha}
+def _matrix(args) -> np.ndarray:
+    """The matrix of the one model flag given."""
+    if args.two_state is not None:
+        return build_two_state(args.two_state)
+    if args.full is not None:
+        return build_full(ParamPoint(*args.full))
+    if args.band is not None:
+        return build_band(*args.band)
+    return build_alpha(args.alpha)
 
 
 def _parse_range(text: str) -> tuple[float, float, float, float]:
@@ -169,69 +173,50 @@ def _parse_profile(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("profile must be alpha_min:alpha_max:n")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if n < 1:
+        raise argparse.ArgumentTypeError("profile n must be >= 1")
+    return lo, hi, n
 
 
 def _cmd_spectrum(args) -> int:
-    tol = _resolve(args, "tol", DEFAULT_REALITY_TOL)
-    h, selector = _select_matrix(args)
-    spec = numeric_energies(h, tol)
-    doc = _spectrum_json(spec)
-    doc["matrix"] = matrix_to_json_dict(h)
-    _emit(args, json_dumps(doc), {"command": "spectrum", **selector, "tol": tol})
+    h = _matrix(args)
+    spec = numeric_energies(h, args.tol)
+    doc = {
+        "energies": [[e.real, e.imag] for e in spec.energies],
+        "classification": spec.classification.value,
+        "max_imag": spec.max_imag,
+        "matrix": matrix_to_json_dict(h),
+    }
+    _emit(args, json_dumps(doc))
     return 0
 
 
 def _cmd_scan(args) -> int:
-    tol = _resolve(args, "tol", DEFAULT_REALITY_TOL)
-    d2 = _require_d2(args)
-    if d2 < 0:
+    if args.d2 < 0:
         raise ValueError("d2 must be non-negative")
-    a_min, a_max, b_min, b_max = _resolve(args, "range", (-4.0, 4.0, -4.0, 4.0), _parse_range)
-    na, nb = _resolve(args, "res", (81, 81), _parse_res)
+    a_min, a_max, b_min, b_max = args.range
+    na, nb = args.res
     if na * nb > MAX_SCAN_CELLS:
         raise ValueError(f"resolution {na}x{nb} exceeds {MAX_SCAN_CELLS} cells")
-    grid = scan_grid((a_min, a_max), (b_min, b_max), math.sqrt(d2), (na, nb), tol)
+    grid = scan_grid((a_min, a_max), (b_min, b_max), math.sqrt(args.d2), args.res, args.tol)
     text = grid_csv(
         ["a", "b", "inside", "margin"], grid.a_values, grid.b_values, grid.inside, grid.margin
     )
-    meta = {
-        "command": "scan",
-        "d2": d2,
-        "range": [a_min, a_max, b_min, b_max],
-        "res": [na, nb],
-        "tol": tol,
-    }
-    _emit(args, text, meta)
+    _emit(args, text)
     return 0
 
 
 def _cmd_boundary(args) -> int:
-    tol = _resolve(args, "tol", DEFAULT_REALITY_TOL)
-    a, b = boundary_trace_ray(
-        tuple(args.center), tuple(args.direction), args.d, tol
-    )
-    verdict = in_domain(a, b, args.d, tol)
-    doc = {"a": a, "b": b, "d": args.d, "margin": verdict.margin}
-    _emit(
-        args,
-        json_dumps(doc),
-        {
-            "command": "boundary",
-            "center": list(args.center),
-            "direction": list(args.direction),
-            "d": args.d,
-            "tol": tol,
-        },
-    )
+    a, b = boundary_trace_ray(tuple(args.center), tuple(args.direction), args.d, args.tol)
+    verdict = in_domain(a, b, args.d, args.tol)
+    _emit(args, json_dumps({"a": a, "b": b, "d": args.d, "margin": verdict.margin}))
     return 0
 
 
 def _cmd_pmn(args) -> int:
-    d2 = _require_d2(args)
-    points = pmn_points(d2)
     doc = {
-        "d2": d2,
+        "d2": args.d2,
         "points": [
             {
                 "a": p.a,
@@ -243,25 +228,21 @@ def _cmd_pmn(args) -> int:
                     "constant_term": p.residuals[2],
                 },
             }
-            for p in points
+            for p in pmn_points(args.d2)
         ],
     }
-    _emit(args, json_dumps(doc), {"command": "pmn", "d2": d2})
+    _emit(args, json_dumps(doc))
     return 0
 
 
 def _cmd_metric(args) -> int:
     if args.profile is not None:
         lo, hi, n = args.profile
-        alphas = np.linspace(lo, hi, n)
-        profile = boundary_degeneracy_profile(alphas)
-        text = csv_rows(["alpha", "min_eig"], profile)
-        _emit(args, text, {"command": "metric", "profile": [lo, hi, n]})
+        profile = boundary_degeneracy_profile(np.linspace(lo, hi, n))
+        _emit(args, csv_rows(["alpha", "min_eig"], profile))
         return 0
 
-    h, selector = _select_matrix(args)
-    rank_tol = _resolve(args, "rank_tol", 1e-10)
-    fam = metric_nullspace(h, rank_tol)
+    fam = metric_nullspace(_matrix(args), args.rank_tol)
     doc = {"dim": fam.dim, "residual": fam.residual}
     if args.basis:
         doc["basis"] = [matrix_to_json_dict(e) for e in fam.basis]
@@ -272,7 +253,7 @@ def _cmd_metric(args) -> int:
             "min_eigenvalue": cert.min_eigenvalue,
             "positive": cert.positive,
         }
-    _emit(args, json_dumps(doc), {"command": "metric", **selector, "rank_tol": rank_tol})
+    _emit(args, json_dumps(doc))
     return 0
 
 
@@ -283,7 +264,7 @@ def _cmd_perturb(args) -> int:
         doc["critical"] = {"alpha_cs": alpha_cs, "e_cs": e_cs}
     if args.series is not None:
         if args.alpha is None or args.order is None:
-            _usage_error("--series needs --alpha and --order")
+            raise ValueError("--series needs --alpha and --order")
         series = band_series_E1 if args.series == "e1" else band_series_E3
         doc["series"] = {
             "which": args.series,
@@ -302,16 +283,15 @@ def _cmd_perturb(args) -> int:
             "inside_exact": in_domain(a, 0.0, c).inside,
         }
     if not doc:
-        _usage_error("perturb needs --critical, --series or --spike")
-    _emit(args, json_dumps(doc), {"command": "perturb"})
+        raise ValueError("perturb needs --critical, --series or --spike")
+    _emit(args, json_dumps(doc))
     return 0
 
 
 def _cmd_fig1(args) -> int:
-    d2 = _require_d2(args)
-    geo = figure1_geometry(d2)
+    geo = figure1_geometry(args.d2)
     doc = {
-        "d2": d2,
+        "d2": args.d2,
         "circle_radius": geo["circle_radius"],
         "hyperbolas": [
             {
@@ -326,112 +306,100 @@ def _cmd_fig1(args) -> int:
             for p in geo["intersections"]
         ],
     }
-    _emit(args, json_dumps(doc), {"command": "fig1", "d2": d2})
+    _emit(args, json_dumps(doc))
     return 0
 
 
 def _cmd_fig2(args) -> int:
-    coef_c = _resolve(args, "coef_c", 0.0)
-    t_max = _resolve(args, "t_max", 0.02)
-    t_steps = int(_resolve(args, "t_steps", 20))
-    if t_steps < 1:
+    if args.t_steps < 1:
         raise ValueError("t-steps must be >= 1")
-    res = int(_resolve(args, "res_a", 101))
+    if args.res_a < 1:
+        raise ValueError("res-a must be >= 1")
     corner = (args.corner_a, args.corner_c)
     rows = []
-    for t in np.linspace(t_max / t_steps, t_max, t_steps):
-        for coef_a in np.linspace(coef_c - 1.0, coef_c + 1.5, res):
-            ansatz = SpikeAnsatz(t=t, coef_a=coef_a, coef_c=coef_c, corner=corner)
+    for t in np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps):
+        for coef_a in np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a):
+            ansatz = SpikeAnsatz(t=t, coef_a=coef_a, coef_c=args.coef_c, corner=corner)
             a, c = spike_point(ansatz)
             rows.append((a, c, in_domain(a, 0.0, c).inside))
-    text = csv_rows(["a", "c", "inside"], rows)
-    meta = {
-        "command": "fig2",
-        "coef_c": coef_c,
-        "t_max": t_max,
-        "t_steps": t_steps,
-        "res_a": res,
-        "corner": list(corner),
-    }
-    _emit(args, text, meta)
+    _emit(args, csv_rows(["a", "c", "inside"], rows))
     return 0
 
 
 def _cmd_dim(args) -> int:
-    try:
-        value = dim_domain(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(args, f"{value}\n", {"command": "dim", "n": args.n})
+    _emit(args, f"{dim_domain(args.n)}\n")
     return 0
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--two-state", dest="two_state", type=float, metavar="B")
-    p.add_argument("--full", type=float, nargs=4, metavar=("A", "B", "C", "D"))
-    p.add_argument("--band", type=float, nargs=2, metavar=("A", "C"))
-    p.add_argument("--alpha", type=float, metavar="ALPHA")
+def _model_flags(p: argparse.ArgumentParser):
+    """The model flags, of which exactly one must be given."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--two-state", type=float, metavar="B")
+    group.add_argument("--full", type=float, nargs=4, metavar=("A", "B", "C", "D"))
+    group.add_argument("--band", type=float, nargs=2, metavar=("A", "C"))
+    group.add_argument("--alpha", type=float, metavar="ALPHA")
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasih",
         description="Spectra, quasi-Hermiticity domain and metrics of the "
         "four-level PT-symmetric matrix model.",
     )
     parser.add_argument("--version", action="version", version=f"quasih {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--tol", type=float, help="reality/margin tolerance")
+        p.add_argument("--config", help="flat key = value file of options")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("spectrum", help="energies of a selected model matrix")
-    common(p)
-    _add_model_flags(p)
-    p.set_defaults(func=_cmd_spectrum)
+    def tol(p):
+        p.add_argument(
+            "--tol", type=float, default=DEFAULT_REALITY_TOL, help="reality/margin tolerance"
+        )
 
-    p = sub.add_parser("scan", help="membership grid over the a-b plane")
-    common(p)
-    p.add_argument("--d2", type=float, help="fixed c^2 = d^2 value")
-    p.add_argument("--range", type=_parse_range, metavar="A0:A1:B0:B1")
-    p.add_argument("--res", type=_parse_res, metavar="NxM")
-    p.set_defaults(func=_cmd_scan)
+    p = command("spectrum", _cmd_spectrum, "energies of a selected model matrix")
+    _model_flags(p)
+    tol(p)
 
-    p = sub.add_parser("boundary", help="trace the domain boundary along a ray")
-    common(p)
+    p = command("scan", _cmd_scan, "membership grid over the a-b plane")
+    p.add_argument("--d2", type=float, required=True, help="fixed c^2 = d^2 value")
+    p.add_argument(
+        "--range", type=_parse_range, default=(-4.0, 4.0, -4.0, 4.0), metavar="A0:A1:B0:B1"
+    )
+    p.add_argument("--res", type=_parse_res, default=(81, 81), metavar="NxM")
+    tol(p)
+
+    p = command("boundary", _cmd_boundary, "trace the domain boundary along a ray")
     p.add_argument("--center", type=float, nargs=2, required=True, metavar=("A", "B"))
     p.add_argument(
         "--direction", type=float, nargs=2, required=True, metavar=("DX", "DY")
     )
     p.add_argument("--d", type=float, required=True)
-    p.set_defaults(func=_cmd_boundary)
+    tol(p)
 
-    p = sub.add_parser("pmn", help="points of maximal non-Hermiticity at fixed d^2")
-    common(p)
-    p.add_argument("--d2", type=float)
-    p.set_defaults(func=_cmd_pmn)
+    p = command("pmn", _cmd_pmn, "points of maximal non-Hermiticity at fixed d^2")
+    p.add_argument("--d2", type=float, required=True)
 
-    p = sub.add_parser("metric", help="metric family, positivity, or alpha profile")
-    common(p)
-    _add_model_flags(p)
-    p.add_argument("--rank-tol", dest="rank_tol", type=float)
+    p = command("metric", _cmd_metric, "metric family, positivity, or alpha profile")
+    _model_flags(p).add_argument(
+        "--profile",
+        type=_parse_profile,
+        metavar="A0:A1:N",
+        help="alpha sweep CSV of best min eigenvalues (instead of a model)",
+    )
+    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--basis", action="store_true", help="emit all basis matrices")
     p.add_argument(
         "--positivity", action="store_true", help="emit a positivity certificate"
     )
-    p.add_argument(
-        "--profile",
-        type=_parse_profile,
-        metavar="A0:A1:N",
-        help="alpha sweep CSV of best min eigenvalues",
-    )
-    p.set_defaults(func=_cmd_metric)
 
-    p = sub.add_parser("perturb", help="band series, critical strength, spike ansatz")
-    common(p)
+    p = command("perturb", _cmd_perturb, "band series, critical strength, spike ansatz")
     p.add_argument("--series", choices=["e1", "e3"])
     p.add_argument("--order", type=int, choices=[2, 4, 6])
     p.add_argument("--alpha", type=float)
@@ -439,35 +407,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--spike", type=float, nargs=3, metavar=("COEF_A", "COEF_C", "T")
     )
-    p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser("fig1", help="circle/hyperbola geometry of the PMN search")
-    common(p)
-    p.add_argument("--d2", type=float)
-    p.set_defaults(func=_cmd_fig1)
+    p = command("fig1", _cmd_fig1, "circle/hyperbola geometry of the PMN search")
+    p.add_argument("--d2", type=float, required=True)
 
-    p = sub.add_parser("fig2", help="spike-shaped domain scan near a vertex")
-    common(p)
-    p.add_argument("--coef-c", dest="coef_c", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--t-steps", dest="t_steps", type=int)
-    p.add_argument("--res-a", dest="res_a", type=int)
-    p.add_argument("--corner-a", dest="corner_a", type=int, choices=[-1, 1], default=-1)
-    p.add_argument("--corner-c", dest="corner_c", type=int, choices=[-1, 1], default=-1)
-    p.set_defaults(func=_cmd_fig2)
+    p = command("fig2", _cmd_fig2, "spike-shaped domain scan near a vertex")
+    p.add_argument("--coef-c", type=float, default=0.0)
+    p.add_argument("--t-max", type=float, default=0.02)
+    p.add_argument("--t-steps", type=int, default=20)
+    p.add_argument("--res-a", type=int, default=101)
+    p.add_argument("--corner-a", type=int, choices=[-1, 1], default=-1)
+    p.add_argument("--corner-c", type=int, choices=[-1, 1], default=-1)
 
-    p = sub.add_parser("dim", help="coupling-space dimension floor(n^2/4)")
-    common(p)
+    p = command("dim", _cmd_dim, "coupling-space dimension floor(n^2/4)")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_dim)
 
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser; parsing leaves no state on it (config
-    values are read into each call's namespace)."""
+def _parser() -> _Parser:
+    """The process's one parser; parsing leaves no state on it (a config
+    file is read into each call's argv)."""
     return build_parser()
 
 
@@ -487,27 +448,35 @@ def _plain_number(token: str) -> str:
     return token
 
 
+def _normalize(argv: list[str]) -> list[str]:
+    """argv with negative numbers in exponent form written out and each
+    ``--range`` value such as "-4:4:-4:4" folded into ``--range=...``, so
+    that argparse takes neither for an option string.  A config file can
+    add a second ``--range``, so every one is folded."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--range" and token.startswith("-"):
+            out[-1] = f"--range={token}"
+        else:
+            out.append(_plain_number(token))
+    return out
+
+
 def main(argv=None) -> int:
     parser = _parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    # Fold values like "-4:4:-4:4" into "--range=..." so argparse does not
-    # mistake them for option strings.
-    argv = [_plain_number(token) for token in argv]
-    for i, token in enumerate(argv[:-1]):
-        if token == "--range" and argv[i + 1].startswith("-"):
-            argv[i : i + 2] = [f"--range={argv[i + 1]}"]
-            break
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args._config = (
-            _read_config(args.config) if getattr(args, "config", None) else {}
-        )
+        path = _config_path(argv)
+        if path is not None and argv[0] in parser.subcommands:
+            argv[1:1] = _config_argv(path, parser.subcommands[argv[0]])
+        args = parser.parse_args(_normalize(argv))
+        if args.config != path:
+            raise ValueError("write --config in full")
         return args.func(args)
     except (BoundaryTraceError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quasih.model import _require_finite
+from quasih.model import _require_finite, _require_positive
 from quasih.secular import _reduced_AB, constant_term, hyperbola_factors, reduced_AB
 
 #: Default absolute tolerance on the membership margin.
@@ -81,8 +81,7 @@ def in_domain(
     Inside means A >= -tol, A^2 - B >= -tol and B >= -tol; the margin is
     min(A, A^2 - B, B) and |margin| <= tol flags a boundary point.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _require_positive(tolerance=tol)
     A, B = reduced_AB(a, b, d)
     margin = min(A, A * A - B, B)
     return DomainVerdict(
@@ -237,8 +236,7 @@ def scan_grid(
     na, nb = resolution
     if na < 1 or nb < 1:
         raise ValueError("resolution counts must be >= 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _require_positive(tolerance=tol)
     _require_finite(a=a_range[0], b=b_range[0], d=d)
     _require_finite(a=a_range[1], b=b_range[1])
     a_values = np.linspace(a_range[0], a_range[1], na)

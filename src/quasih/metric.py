@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quasih.model import _require_finite, build_alpha
+from quasih.model import _require_finite, _require_positive, build_alpha
 
 #: Default relative SVD threshold for nullspace rank decisions.
 DEFAULT_RANK_TOL = 1e-10
@@ -104,8 +104,7 @@ def metric_nullspace(h: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Metri
     n = h.shape[0]
     if n > MAX_NULLSPACE_DIM:
         raise ValueError(f"dimension {n} exceeds limit {MAX_NULLSPACE_DIM}")
-    if rank_tol <= 0:
-        raise ValueError("rank tolerance must be positive")
+    _require_positive(rank_tol=rank_tol)
 
     basis = _sym_basis(n)
     k = np.column_stack([(h.T @ e - e @ h).ravel() for e in basis])

@@ -22,6 +22,13 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def _require_positive(**values: float) -> None:
+    """Reject a tolerance that is not a positive finite number (NaN included)."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ParamPoint:
     """The four real couplings (a, b, c, d) of the 4x4 model."""

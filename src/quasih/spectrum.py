@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from quasih.model import _require_finite
+from quasih.model import _require_finite, _require_positive
 from quasih.secular import reduced_AB
 
 #: Default absolute tolerance on |Im E| for reality decisions.
@@ -57,8 +57,7 @@ def classify_reality(energies, tol: float = DEFAULT_REALITY_TOL) -> Reality:
     real spectra with a gap at or below tol are degenerate; anything with
     a larger imaginary part is a complex-pair spectrum.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _require_positive(tolerance=tol)
     zs = [complex(z) for z in energies]
     max_imag = max(abs(z.imag) for z in zs)
     if max_imag >= tol:

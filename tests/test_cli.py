@@ -34,12 +34,9 @@ def test_spectrum_band_vs_alpha_isospectral(capsys):
 
 
 def test_spectrum_requires_exactly_one_model(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--alpha", "0.1", "--two-state", "0.5"])
-    assert exc.value.code == 2
+    assert main(["spectrum"]) == 2
+    assert main(["spectrum", "--alpha", "0.1", "--two-state", "0.5"]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_determinism_byte_identical(capsys):
@@ -59,9 +56,7 @@ def test_scan_respects_thread_env(capsys, monkeypatch):
 
 
 def test_scan_requires_d2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["scan"])
-    assert exc.value.code == 2
+    assert main(["scan"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -75,9 +70,7 @@ def test_scan_requires_d2(capsys):
     ],
 )
 def test_missing_arguments_print_one_error_line(capsys, argv, missing):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert missing in err
@@ -162,12 +155,138 @@ def test_config_rejects_malformed_line(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_supplies_a_required_option_a_list_and_a_switch(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("d = 0.5\ncenter = 0 0\n")
+    argv = ["boundary", "--direction", "1", "0.3"]
+    assert run(capsys, *argv, "--config", str(cfg)) == run(
+        capsys, *argv, "--d", "0.5", "--center", "0", "0"
+    )
+    cfg.write_text("alpha = 0.3\nbasis = true\npositivity = false\n")
+    assert run(capsys, "metric", "--config", str(cfg)) == run(
+        capsys, "metric", "--alpha", "0.3", "--basis"
+    )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("d_2 = 1.6", "error: quasih scan has no config key 'd_2'\n"),
+        # A prefix of --d2 is not a key, though argparse takes `--d` for it.
+        ("d = 1.6", "error: quasih scan has no config key 'd'\n"),
+        ("config = other.cfg", "error: quasih scan has no config key 'config'\n"),
+        ("tol = nan", "error: tolerance must be positive and finite, got nan\n"),
+        ("d2 = x", "error: argument --d2: invalid float value: 'x'\n"),
+    ],
+)
+def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, line, message):
+    # An unknown key was ignored, so `d_2 = 1.6` ended in "scan needs --d2".
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    argv = ["scan", "--config", str(cfg)]
+    assert main(argv if "d2" in line else [*argv, "--d2", "1"]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_config_must_be_spelled_out(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("res = 3x3\n")
+    assert main(["scan", "--d2", "1", "--conf", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: write --config in full\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--d2", "1", "--config", "{tmp}/missing.cfg"],
+        ["scan", "--d2", "1", "--res", "3x3", "--out", "{tmp}/missing/scan.csv"],
+    ],
+)
+def test_missing_files_are_one_line_usage_errors(tmp_path, capsys, argv):
+    # Both ended in a FileNotFoundError traceback and exit 1.
+    assert main([token.format(tmp=tmp_path) for token in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--alpha", "0.9", "--tol", "nan"],
+        ["scan", "--d2", "1", "--res", "3x3", "--tol", "nan"],
+        ["boundary", "--center", "0", "0", "--direction", "1", "0", "--d", "0.5", "--tol", "nan"],
+        ["metric", "--alpha", "0.3", "--rank-tol", "nan"],
+    ],
+)
+def test_nan_tolerance_is_a_usage_error(capsys, argv):
+    # spectrum printed "AllReal" for max_imag 1.22, scan marked every cell
+    # outside and metric reported dim 0.
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be positive and finite" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["pmn", "--d2", "1", "--tol", "1e-6"], ["dim", "--n", "4", "--tol", "1e-6"]]
+)
+def test_tol_only_where_it_is_used(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --tol 1e-6\n"
+
+
+def test_metric_profile_needs_at_least_one_point(capsys):
+    # n = 0 printed a CSV with only its header and exited 0.
+    assert main(["metric", "--profile", "0.1:0.5:0"]) == 2
+    assert capsys.readouterr() == ("", "error: argument --profile: profile n must be >= 1\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--version"])
+def test_only_help_and_version_exit(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["metric", "--alpha", "0.3", "--positivity"],
+            {"alpha": 0.3, "rank_tol": 1e-10, "positivity": True},
+        ),
+        (["perturb", "--critical"], {"critical": True}),
+        (
+            ["fig2", "--t-steps", "1", "--res-a", "2"],
+            {
+                "coef_c": 0.0,
+                "t_max": 0.02,
+                "t_steps": 1,
+                "res_a": 2,
+                "corner_a": -1,
+                "corner_c": -1,
+            },
+        ),
+    ],
+)
+def test_sidecar_records_every_option_that_is_set(tmp_path, argv, expected):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "out.meta.json").read_text())
+    assert meta == {
+        "tool": "quasih", "version": quasih.__version__, "command": argv[0], **expected
+    }
+
+
 def test_config_bad_range_is_a_one_line_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("range = 1:2:3\n")
     code = main(["scan", "--d2", "1", "--config", str(cfg)])
     assert code == 2
-    assert capsys.readouterr().err == "error: range must be a_min:a_max:b_min:b_max\n"
+    assert (
+        capsys.readouterr().err
+        == "error: argument --range: range must be a_min:a_max:b_min:b_max\n"
+    )
 
 
 def test_boundary_success_and_failure(capsys):
@@ -236,9 +355,8 @@ def test_perturb_series_and_critical(capsys):
 
 
 def test_perturb_series_requires_alpha_and_order(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["perturb", "--series", "e3"])
-    assert exc.value.code == 2
+    assert main(["perturb", "--series", "e3"]) == 2
+    assert capsys.readouterr().err == "error: --series needs --alpha and --order\n"
 
 
 def test_perturb_spike(capsys):
@@ -274,6 +392,12 @@ def test_fig2_rejects_fewer_than_one_t_step(capsys, steps):
     code = main(["fig2", "--t-steps", steps])
     assert code == 2
     assert capsys.readouterr().err == "error: t-steps must be >= 1\n"
+
+
+def test_fig2_rejects_fewer_than_one_a_point(capsys):
+    # --res-a 0 printed a CSV with only its header and exited 0.
+    assert main(["fig2", "--res-a", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: res-a must be >= 1\n")
 
 
 def test_dim_values(capsys):
