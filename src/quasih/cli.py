@@ -13,7 +13,8 @@ the subcommand's long options with dashes replaced by underscores; a
 switch such as ``basis`` takes ``true`` or ``false``.  Its lines are read
 as ``--key value`` flags right after the subcommand, so flags on the
 command line win and config values pass the same checks.  ``--tol``
-exists only on spectrum, scan and boundary, which use it.
+exists only on spectrum, scan and boundary, which use it.  Options are
+spelled in full: a prefix such as ``--d`` for ``--d2`` is an error.
 
 Exit status: :func:`main` returns 0 on success, 1 on numerical failure
 and 2 on a usage error, with a one-line ``error:`` message on stderr for
@@ -36,7 +37,9 @@ import numpy as np
 
 from quasih import __version__
 from quasih.domain import (
+    DEFAULT_MARGIN_TOL,
     BoundaryTraceError,
+    _margins,
     boundary_trace_ray,
     figure1_geometry,
     in_domain,
@@ -51,12 +54,15 @@ from quasih.metric import (
 )
 from quasih.model import (
     ParamPoint,
+    _require_finite,
     build_alpha,
     build_band,
     build_full,
     build_two_state,
 )
 from quasih.perturb import (
+    A_VERTEX,
+    C_VERTEX,
     SpikeAnsatz,
     band_series_E1,
     band_series_E3,
@@ -310,19 +316,24 @@ def _cmd_fig1(args) -> int:
     return 0
 
 
+@np.errstate(over="raise", invalid="raise")  # a huge --t-max or --coef-c is a usage error
 def _cmd_fig2(args) -> int:
-    if args.t_steps < 1:
-        raise ValueError("t-steps must be >= 1")
-    if args.res_a < 1:
-        raise ValueError("res-a must be >= 1")
-    corner = (args.corner_a, args.corner_c)
-    rows = []
-    for t in np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps):
-        for coef_a in np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a):
-            ansatz = SpikeAnsatz(t=t, coef_a=coef_a, coef_c=args.coef_c, corner=corner)
-            a, c = spike_point(ansatz)
-            rows.append((a, c, in_domain(a, 0.0, c).inside))
-    _emit(args, csv_rows(["a", "c", "inside"], rows))
+    for flag, count in (("t-steps", args.t_steps), ("res-a", args.res_a)):
+        if count < 1:
+            raise ValueError(f"{flag} must be >= 1")
+    _require_finite(**{"--coef-c": args.coef_c, "--t-max": args.t_max})
+    if args.t_max < 0.0:
+        raise ValueError("--t-max: spike parameter t must be non-negative")
+    # One ansatz for the whole scan: it warns once if t_max is past the policy bound.
+    SpikeAnsatz(t=args.t_max, coef_a=args.coef_c, coef_c=args.coef_c)
+    t = np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps)[:, None]
+    coef_a = np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a)
+    # spike_point's expression, over the (t, coef_a) grid.
+    a = args.corner_a * A_VERTEX * (1.0 - t - coef_a * t * t)
+    c = args.corner_c * C_VERTEX * (1.0 - t - args.coef_c * t * t)
+    a, c = np.broadcast_arrays(a, c)
+    inside = _margins(a, 0.0, c)[2] >= -DEFAULT_MARGIN_TOL
+    _emit(args, csv_rows(["a", "c", "inside"], zip(a.flat, c.flat, inside.flat)))
     return 0
 
 
@@ -344,6 +355,7 @@ def _model_flags(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="quasih",
+        allow_abbrev=False,
         description="Spectra, quasi-Hermiticity domain and metrics of the "
         "four-level PT-symmetric matrix model.",
     )
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.subcommands = sub.choices
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--config", help="flat key = value file of options")
         p.set_defaults(func=func)
@@ -470,13 +482,11 @@ def main(argv=None) -> int:
         if path is not None and argv[0] in parser.subcommands:
             argv[1:1] = _config_argv(path, parser.subcommands[argv[0]])
         args = parser.parse_args(_normalize(argv))
-        if args.config != path:
-            raise ValueError("write --config in full")
         return args.func(args)
     except (BoundaryTraceError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -241,9 +241,14 @@ def scan_grid(
     _require_finite(a=a_range[1], b=b_range[1])
     a_values = np.linspace(a_range[0], a_range[1], na)
     b_values = np.linspace(b_range[0], b_range[1], nb)
-    A, B = _reduced_AB(a_values[:, None], b_values[None, :], d)
-    margin = np.minimum(np.minimum(A, A * A - B), B)
+    A, B, margin = _margins(a_values[:, None], b_values[None, :], d)
     return GridScan(a_values, b_values, A, B, margin, margin >= -tol)
+
+
+def _margins(a, b, d):
+    """A, B and :func:`in_domain`'s margin over arrays, cell for cell bit-identical."""
+    A, B = _reduced_AB(a, b, d)
+    return A, B, np.minimum(np.minimum(A, A * A - B), B)
 
 
 def _hyperbola_polyline(

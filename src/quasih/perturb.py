@@ -15,12 +15,12 @@ reality domain, the admissible parameters follow the ansatz
     a = a_vertex * (-1 + t + coef_a t^2 + O(t^3)),
     c = c_vertex * (-1 + t + coef_c t^2 + O(t^3)),   t >= 0,
 
-and at leading order membership reduces to the band
+and membership reduces to the band lower <= coef_a <= upper with
 
-    coef_c - 1/2 <= coef_a <= coef_c + 8/9,
+    lower = coef_c - 1/2 - coef_c t - coef_c^2 t^2 / 2        (exact),
+    upper = coef_c + 8/9 + (16 coef_c / 9 + 80/81) t + O(t^2):
 
-with O(t) corrections to both edges: the domain is a narrow spike with
-the vertex at its tip.
+the domain is a narrow spike with the vertex at its tip.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from quasih.domain import in_domain
-from quasih.model import _require_finite
-from quasih.spectrum import band_closed_energies
+from quasih.model import _require_finite, build_alpha
+from quasih.spectrum import band_closed_energies, numeric_energies
 
 #: Supported truncation orders of the band series.
 SERIES_ORDERS = (2, 4, 6)
@@ -73,7 +73,6 @@ class SpikeAnsatz:
     coef_a: float
     coef_c: float
     corner: tuple[int, int] = (-1, -1)
-    t_max: float = SPIKE_T_MAX
 
     def __post_init__(self):
         _require_finite(t=self.t, coef_a=self.coef_a, coef_c=self.coef_c)
@@ -81,11 +80,12 @@ class SpikeAnsatz:
             raise ValueError("spike parameter t must be non-negative")
         if self.corner[0] not in (-1, 1) or self.corner[1] not in (-1, 1):
             raise ValueError("corner must be a pair of signs (+-1, +-1)")
-        if self.t > self.t_max:
+        if self.t > SPIKE_T_MAX:
+            # Level 3 is the caller of the dataclass's generated __init__.
             warnings.warn(
-                f"t={self.t} exceeds the policy bound {self.t_max}; "
+                f"t={self.t} exceeds the policy bound {SPIKE_T_MAX}; "
                 "second-order accuracy degrades",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -152,9 +152,6 @@ def critical_strength() -> tuple[float, float]:
     disc = 5.0 * alpha_cs**4 - 12.0 * alpha_cs**2 + 4.0
     if abs(disc) > 1e-12:
         raise RuntimeError(f"discriminant check failed: {disc}")
-    from quasih.model import build_alpha
-    from quasih.spectrum import numeric_energies
-
     energies = sorted(numeric_energies(build_alpha(alpha_cs)).energies, key=lambda z: z.real)
     pairs_ok = (
         abs(energies[0] - energies[1]) < 1e-6
@@ -194,44 +191,31 @@ def spike_membership(coef_a: float, coef_c: float, t: float) -> bool:
     return coef_c - 0.5 <= coef_a <= coef_c + 8.0 / 9.0
 
 
-def _exact_inside(coef_a: float, coef_c: float, t: float, corner=(-1, -1)) -> bool:
-    a, c = spike_point(SpikeAnsatz(t=t, coef_a=coef_a, coef_c=coef_c, corner=corner))
-    return in_domain(a, 0.0, c).inside
+def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
+    """Exact admissible coef_a interval at fixed coef_c and t > 0.
 
+    At b = 0, d = c, with x = coef_a and s = 1 + coef_c t, A = t p(x) and
+    B = 9 t^2 g(x) h(x), where
 
-def spike_band_edges(
-    coef_c: float,
-    t: float,
-    corner: tuple[int, int] = (-1, -1),
-    span: float = 2.0,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Exact admissible coef_a interval at fixed coef_c and t.
+        p = 4 - 2t + 6s - 3ts^2 + 4t(1 - t) x - 2t^3 x^2,
+        g = 2x + s^2 - 2 coef_c,   h = 4 - 2t - 2ts + t^2 s^2 - 2t^2 x,
 
-    Bisects the exact membership verdict (via :func:`in_domain` at the
-    spike point) outward from coef_a = coef_c, which is always inside.
-    As t -> 0 the interval converges to
-    [coef_c - 1/2, coef_c + 8/9] with edge offsets shrinking linearly.
+    and A^2 - B = t^2 (p^2 - 9gh).  The edges are the nearest real roots
+    of g, h, p and p^2 - 9gh below and above coef_c (which is inside);
+    without the powers of t they stay well conditioned as t -> 0.  The
+    lower edge, the root of g, is coef_c - 1/2 - coef_c t - coef_c^2 t^2 / 2;
+    the upper one is coef_c + 8/9 + (16 coef_c / 9 + 80/81) t + O(t^2).
     """
     if t <= 0.0:
         raise ValueError("edge measurement needs t > 0")
-    if not _exact_inside(coef_c, coef_c, t, corner):
-        raise RuntimeError("center of the coef_a sweep is unexpectedly outside")
-
-    def bisect(lo: float, hi: float) -> float:
-        # membership holds at lo-side point closer to coef_c, fails at hi.
-        while abs(hi - lo) > tol:
-            mid = 0.5 * (lo + hi)
-            if _exact_inside(mid, coef_c, t, corner):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    if _exact_inside(coef_c + span, coef_c, t, corner):
-        raise RuntimeError("upper sweep limit still inside; enlarge span")
-    if _exact_inside(coef_c - span, coef_c, t, corner):
-        raise RuntimeError("lower sweep limit still inside; enlarge span")
-    upper = bisect(coef_c, coef_c + span)
-    lower = bisect(coef_c, coef_c - span)
-    return lower, upper
+    a, c = spike_point(SpikeAnsatz(t=t, coef_a=coef_c, coef_c=coef_c))
+    if not in_domain(a, 0.0, c).inside:
+        raise RuntimeError("coef_a = coef_c is unexpectedly outside the domain")
+    s = 1.0 + coef_c * t
+    p = [-2.0 * t**3, 4.0 * t * (1.0 - t), 4.0 - 2.0 * t + 6.0 * s - 3.0 * t * s * s]
+    g = [2.0, s * s - 2.0 * coef_c]
+    h = [-2.0 * t * t, 4.0 - 2.0 * t - 2.0 * t * s + t * t * s * s]
+    quartic = np.polysub(np.polymul(p, p), 9.0 * np.polymul(g, h))
+    roots = np.concatenate([np.roots(f) for f in (g, h, p, quartic)])
+    real = roots.real[np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots.real))]
+    return float(real[real < coef_c].max()), float(real[real > coef_c].min())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -192,7 +193,17 @@ def test_config_must_be_spelled_out(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("res = 3x3\n")
     assert main(["scan", "--d2", "1", "--conf", str(cfg)]) == 2
-    assert capsys.readouterr().err == "error: write --config in full\n"
+    assert capsys.readouterr().err == f"error: unrecognized arguments: --conf {cfg}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["scan", "--d", "0.5", "--res", "2x2"], ["metric", "--alpha", "0.3", "--pos"]]
+)
+def test_option_prefixes_are_usage_errors(capsys, argv):
+    # Both exited 0: argparse read --d as --d2 and --pos as --positivity.
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -385,6 +396,63 @@ def test_fig2_scan(capsys):
     assert lines[0] == "a,c,inside"
     assert len(lines) == 1 + 2 * 11
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} <= {"0", "1"}
+
+
+# SHA-256 of the output of the per-point implementation (one in_domain
+# call per (t, coef_a) point), which the array evaluation reproduces.
+FIG2_DIGESTS = [
+    (
+        "--coef-c 0.3 --t-max 0.3 --t-steps 7 --res-a 33 --corner-a 1",
+        "ea6fd538253ec121d228723fb685c2894fbc32303d0ede306fb73b8a63793b34",
+    ),
+    (
+        "--coef-c -0.6 --t-max 0.2 --t-steps 50 --res-a 201 --corner-c 1",
+        "6d1d22ad77942ad6809d67e1870c17a50c413a5765882509f316b1d43cd9be2a",
+    ),
+    (
+        "--coef-c 0.75 --t-max 0.001 --t-steps 5 --res-a 1001",
+        "32ffa6ebfa4662e51eea0686736a613ece1f557a6e736c838e80370afd85a614",
+    ),
+    ("", "13a87cd567779cfeee41269249ff3e78fd307bfa836fe60b360696ac7e07967f"),
+    (
+        "--t-steps 3 --res-a 11",
+        "2be2d53da528c2e41606ff110ec66a74f6a0838eaed2e61343c6d1d73a6a846f",
+    ),
+]
+
+
+@pytest.mark.filterwarnings("ignore:t=.* exceeds the policy bound:UserWarning")
+@pytest.mark.parametrize(
+    "flags, digest", FIG2_DIGESTS, ids=[flags or "defaults" for flags, _ in FIG2_DIGESTS]
+)
+def test_fig2_output_is_byte_identical(capsys, flags, digest):
+    assert main(["fig2", *flags.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_fig2_warns_once_past_the_policy_bound(capsys):
+    with pytest.warns(UserWarning, match="policy bound") as record:
+        assert main(["fig2", "--t-max", "0.5", "--t-steps", "4", "--res-a", "3"]) == 0
+    assert len(record) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--t-max", "inf"], "--t-max must be finite, got inf"),
+        (["--t-max", "nan"], "--t-max must be finite, got nan"),
+        (["--coef-c", "nan"], "--coef-c must be finite, got nan"),
+        (["--t-max", "-0.02"], "--t-max: spike parameter t must be non-negative"),
+        (["--t-max", "1e200"], "overflow encountered in multiply"),
+        (["--coef-c", "1e300"], "overflow encountered in multiply"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:t=.* exceeds the policy bound:UserWarning")
+def test_fig2_bad_values_are_one_line_usage_errors(capsys, flags, message):
+    # --t-max inf printed a numpy RuntimeWarning and then blamed t = nan;
+    # --coef-c nan was reported as coef_a.  Overflow printed RuntimeWarnings.
+    assert main(["fig2", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -112,8 +114,10 @@ def test_spike_ansatz_validation():
         SpikeAnsatz(t=-0.01, coef_a=0.0, coef_c=0.0)
     with pytest.raises(ValueError):
         SpikeAnsatz(t=0.01, coef_a=0.0, coef_c=0.0, corner=(0, 1))
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         SpikeAnsatz(t=0.5, coef_a=0.0, coef_c=0.0)
+    # The warning names the caller, not the dataclass's generated __init__.
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_spike_membership_leading_order():
@@ -162,3 +166,38 @@ def test_spike_edges_converge_linearly():
 def test_spike_edges_need_positive_t():
     with pytest.raises(ValueError):
         spike_band_edges(0.0, 0.0)
+
+
+def _mp_margin(coef_c, t, coef_a):
+    """Domain margin at the spike point, evaluated at the current mpmath
+    precision straight from the definitions of A and B."""
+    t = mpmath.mpf(t)
+    a = -2 * (1 - t - coef_a * t * t)
+    c = -mpmath.sqrt(3) * (1 - t - mpmath.mpf(coef_c) * t * t)
+    A = 5 - c * c - a * a / 2
+    B = (c * c + 3) ** 2 - 9 * a * a
+    return min(A, A * A - B, B)
+
+
+@pytest.mark.parametrize("coef_c", [0.3, -0.6, 0.0, 0.75])
+@pytest.mark.parametrize("t", [0.2, 0.05, 0.02, 0.005, 0.001])
+def test_spike_edges_match_50_digit_roots(coef_c, t):
+    # The bisection of the membership verdict erred by 5.6e-7 at t = 0.005
+    # and 1.4e-5 at t = 0.001: in_domain admits margins down to -1e-9.
+    f = functools.partial(_mp_margin, coef_c, t)
+    with mpmath.workdps(50):
+        for edge in spike_band_edges(coef_c, t):
+            lo, hi = mpmath.mpf(edge) - 1e-12, mpmath.mpf(edge) + 1e-12
+            assert f(lo) * f(hi) < 0, "no membership flip within 1e-12 of the edge"
+            exact = mpmath.findroot(f, (lo, hi), solver="anderson")
+            assert abs(edge - exact) <= 1e-14
+
+
+@pytest.mark.parametrize("coef_c", [0.3, -0.6, 0.0, 0.75])
+def test_spike_edge_slopes(coef_c):
+    t = 1e-4
+    lower, upper = spike_band_edges(coef_c, t)
+    assert abs((lower - (coef_c - 0.5)) / t - (-coef_c)) <= 1e-3
+    assert abs((upper - (coef_c + 8.0 / 9.0)) / t - (16.0 * coef_c / 9.0 + 80.0 / 81.0)) <= 1e-3
+    # The lower edge is exact in closed form.
+    assert lower == pytest.approx(coef_c - 0.5 - coef_c * t - coef_c**2 * t * t / 2, abs=1e-15)
