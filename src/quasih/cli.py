@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: spectrum, scan, boundary, pmn, metric, perturb, fig1, fig2,
-dim.  All data outputs are deterministic (no timestamps; floats at 17
-significant digits), so equal configurations produce byte-identical
-files.  When writing to a file, a sidecar ``<out>.meta.json`` records the
-tool, its version, the subcommand and every option that is set (defaults
-included; ``--out``, ``--config`` and switches left off are not).
+dim.  All data outputs are deterministic (no timestamps; CSV floats at 17
+significant digits, JSON floats as Python's shortest repr, both exact),
+so equal configurations produce byte-identical files.  When writing to a
+file, a sidecar ``<out>.meta.json`` records the tool, its version, the
+subcommand and every option that is set (defaults included; ``--out``,
+``--config`` and switches left off are not).
 
 The parser holds every option's type, default and requirement.  A config
 file (``--config``) is a flat ``key = value`` text file whose keys are
@@ -15,6 +16,8 @@ as ``--key value`` flags right after the subcommand, so flags on the
 command line win and config values pass the same checks.  ``--tol``
 exists only on spectrum, scan and boundary, which use it.  Options are
 spelled in full: a prefix such as ``--d`` for ``--d2`` is an error.
+Negative numbers in any form (``-8.4e-05``, ``-inf``) and ``--range
+-4:4:-4:4`` are values, never option strings.
 
 Exit status: :func:`main` returns 0 on success, 1 on numerical failure
 and 2 on a usage error, with a one-line ``error:`` message on stderr for
@@ -61,9 +64,8 @@ from quasih.model import (
     build_two_state,
 )
 from quasih.perturb import (
-    A_VERTEX,
-    C_VERTEX,
     SpikeAnsatz,
+    _spike_coords,
     band_series_E1,
     band_series_E3,
     critical_strength,
@@ -93,6 +95,13 @@ class _Parser(argparse.ArgumentParser):
 
     #: The subcommand parsers by name (set by :func:`build_parser`).
     subcommands: dict[str, argparse.ArgumentParser]
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token "-" then a digit, ".digit", "inf" or "nan" is a value, such as
+        # "-8.4e-05" or "-4:4:-4:4"; argparse's own rule misses these, and it
+        # has no public setting.  No option of quasih looks like a number.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(message)
@@ -185,42 +194,37 @@ def _parse_profile(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> str:
     h = _matrix(args)
     spec = numeric_energies(h, args.tol)
     doc = {
-        "energies": [[e.real, e.imag] for e in spec.energies],
+        "energies": spec.energies,
         "classification": spec.classification.value,
         "max_imag": spec.max_imag,
         "matrix": matrix_to_json_dict(h),
     }
-    _emit(args, json_dumps(doc))
-    return 0
+    return json_dumps(doc)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> str:
     if args.d2 < 0:
         raise ValueError("d2 must be non-negative")
-    a_min, a_max, b_min, b_max = args.range
     na, nb = args.res
     if na * nb > MAX_SCAN_CELLS:
         raise ValueError(f"resolution {na}x{nb} exceeds {MAX_SCAN_CELLS} cells")
-    grid = scan_grid((a_min, a_max), (b_min, b_max), math.sqrt(args.d2), args.res, args.tol)
-    text = grid_csv(
+    grid = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res, args.tol)
+    return grid_csv(
         ["a", "b", "inside", "margin"], grid.a_values, grid.b_values, grid.inside, grid.margin
     )
-    _emit(args, text)
-    return 0
 
 
-def _cmd_boundary(args) -> int:
+def _cmd_boundary(args) -> str:
     a, b = boundary_trace_ray(tuple(args.center), tuple(args.direction), args.d, args.tol)
     verdict = in_domain(a, b, args.d, args.tol)
-    _emit(args, json_dumps({"a": a, "b": b, "d": args.d, "margin": verdict.margin}))
-    return 0
+    return json_dumps({"a": a, "b": b, "d": args.d, "margin": verdict.margin})
 
 
-def _cmd_pmn(args) -> int:
+def _cmd_pmn(args) -> str:
     doc = {
         "d2": args.d2,
         "points": [
@@ -237,16 +241,14 @@ def _cmd_pmn(args) -> int:
             for p in pmn_points(args.d2)
         ],
     }
-    _emit(args, json_dumps(doc))
-    return 0
+    return json_dumps(doc)
 
 
-def _cmd_metric(args) -> int:
+def _cmd_metric(args) -> str:
     if args.profile is not None:
         lo, hi, n = args.profile
         profile = boundary_degeneracy_profile(np.linspace(lo, hi, n))
-        _emit(args, csv_rows(["alpha", "min_eig"], profile))
-        return 0
+        return csv_rows(["alpha", "min_eig"], profile)
 
     fam = metric_nullspace(_matrix(args), args.rank_tol)
     doc = {"dim": fam.dim, "residual": fam.residual}
@@ -255,15 +257,14 @@ def _cmd_metric(args) -> int:
     if args.positivity:
         cert = find_positive(fam)
         doc["positivity"] = {
-            "coefficients": list(cert.coefficients),
+            "coefficients": cert.coefficients,
             "min_eigenvalue": cert.min_eigenvalue,
             "positive": cert.positive,
         }
-    _emit(args, json_dumps(doc))
-    return 0
+    return json_dumps(doc)
 
 
-def _cmd_perturb(args) -> int:
+def _cmd_perturb(args) -> str:
     doc = {}
     if args.critical:
         alpha_cs, e_cs = critical_strength()
@@ -290,34 +291,24 @@ def _cmd_perturb(args) -> int:
         }
     if not doc:
         raise ValueError("perturb needs --critical, --series or --spike")
-    _emit(args, json_dumps(doc))
-    return 0
+    return json_dumps(doc)
 
 
-def _cmd_fig1(args) -> int:
+def _cmd_fig1(args) -> str:
     geo = figure1_geometry(args.d2)
     doc = {
         "d2": args.d2,
         "circle_radius": geo["circle_radius"],
-        "hyperbolas": [
-            {
-                "locus": h["locus"],
-                "center": list(h["center"]),
-                "branches": [branch.tolist() for branch in h["branches"]],
-            }
-            for h in geo["hyperbolas"]
-        ],
+        "hyperbolas": geo["hyperbolas"],
         "intersections": [
-            {"a": p.a, "b": p.b, "residuals": list(p.residuals)}
-            for p in geo["intersections"]
+            {"a": p.a, "b": p.b, "residuals": p.residuals} for p in geo["intersections"]
         ],
     }
-    _emit(args, json_dumps(doc))
-    return 0
+    return json_dumps(doc)
 
 
 @np.errstate(over="raise", invalid="raise")  # a huge --t-max or --coef-c is a usage error
-def _cmd_fig2(args) -> int:
+def _cmd_fig2(args) -> str:
     for flag, count in (("t-steps", args.t_steps), ("res-a", args.res_a)):
         if count < 1:
             raise ValueError(f"{flag} must be >= 1")
@@ -328,18 +319,14 @@ def _cmd_fig2(args) -> int:
     SpikeAnsatz(t=args.t_max, coef_a=args.coef_c, coef_c=args.coef_c)
     t = np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps)[:, None]
     coef_a = np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a)
-    # spike_point's expression, over the (t, coef_a) grid.
-    a = args.corner_a * A_VERTEX * (1.0 - t - coef_a * t * t)
-    c = args.corner_c * C_VERTEX * (1.0 - t - args.coef_c * t * t)
-    a, c = np.broadcast_arrays(a, c)
+    corner = (args.corner_a, args.corner_c)
+    a, c = np.broadcast_arrays(*_spike_coords(t, coef_a, args.coef_c, corner))
     inside = _margins(a, 0.0, c)[2] >= -DEFAULT_MARGIN_TOL
-    _emit(args, csv_rows(["a", "c", "inside"], zip(a.flat, c.flat, inside.flat)))
-    return 0
+    return csv_rows(["a", "c", "inside"], zip(a.flat, c.flat, inside.flat))
 
 
-def _cmd_dim(args) -> int:
-    _emit(args, f"{dim_domain(args.n)}\n")
-    return 0
+def _cmd_dim(args) -> str:
+    return f"{dim_domain(args.n)}\n"
 
 
 def _model_flags(p: argparse.ArgumentParser):
@@ -444,36 +431,6 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-#: A negative float in exponent form, which argparse (Python 3.11 and other
-#: versions whose negative-number pattern has no exponent) takes for an
-#: option string.
-_NEGATIVE_EXPONENT_FORM = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
-
-
-def _plain_number(token: str) -> str:
-    """A negative float such as "-8.4e-05" written out without the exponent,
-    in the shortest positional form that parses to the same float."""
-    if _NEGATIVE_EXPONENT_FORM.fullmatch(token):
-        value = float(token)
-        if math.isfinite(value):
-            return np.format_float_positional(value, trim="-")
-    return token
-
-
-def _normalize(argv: list[str]) -> list[str]:
-    """argv with negative numbers in exponent form written out and each
-    ``--range`` value such as "-4:4:-4:4" folded into ``--range=...``, so
-    that argparse takes neither for an option string.  A config file can
-    add a second ``--range``, so every one is folded."""
-    out = []
-    for token in argv:
-        if out and out[-1] == "--range" and token.startswith("-"):
-            out[-1] = f"--range={token}"
-        else:
-            out.append(_plain_number(token))
-    return out
-
-
 def main(argv=None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -481,8 +438,9 @@ def main(argv=None) -> int:
         path = _config_path(argv)
         if path is not None and argv[0] in parser.subcommands:
             argv[1:1] = _config_argv(path, parser.subcommands[argv[0]])
-        args = parser.parse_args(_normalize(argv))
-        return args.func(args)
+        args = parser.parse_args(argv)
+        _emit(args, args.func(args))
+        return 0
     except (BoundaryTraceError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -164,17 +164,22 @@ def critical_strength() -> tuple[float, float]:
     return alpha_cs, e_cs
 
 
+def _spike_coords(t, coef_a, coef_c, corner):
+    """(a, c) of the spike ansatz at the vertex with signs ``corner``; t and
+    coef_a may be numpy arrays, which broadcast."""
+    s_a, s_c = corner
+    a = s_a * A_VERTEX * (1.0 - t - coef_a * t * t)
+    c = s_c * C_VERTEX * (1.0 - t - coef_c * t * t)
+    return a, c
+
+
 def spike_point(ansatz: SpikeAnsatz) -> tuple[float, float]:
     """Parameter-plane point (a, c) of the spike ansatz.
 
     At t = 0 this is the chosen vertex itself, e.g. (-2, -sqrt(3)) for
     the default lower-left corner.
     """
-    s_a, s_c = ansatz.corner
-    t = ansatz.t
-    a = s_a * A_VERTEX * (1.0 - t - ansatz.coef_a * t * t)
-    c = s_c * C_VERTEX * (1.0 - t - ansatz.coef_c * t * t)
-    return a, c
+    return _spike_coords(ansatz.t, ansatz.coef_a, ansatz.coef_c, ansatz.corner)
 
 
 def spike_membership(coef_a: float, coef_c: float, t: float) -> bool:
@@ -208,7 +213,8 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
     """
     if t <= 0.0:
         raise ValueError("edge measurement needs t > 0")
-    a, c = spike_point(SpikeAnsatz(t=t, coef_a=coef_c, coef_c=coef_c))
+    _require_finite(t=t, coef_c=coef_c)
+    a, c = _spike_coords(t, coef_c, coef_c, (-1, -1))
     if not in_domain(a, 0.0, c).inside:
         raise RuntimeError("coef_a = coef_c is unexpectedly outside the domain")
     s = 1.0 + coef_c * t

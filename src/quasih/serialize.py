@@ -1,7 +1,8 @@
 """Deterministic CSV/JSON formatting shared by the CLI.
 
-Floats are written with 17 significant digits ('.' decimal separator,
-no locale dependence), which round-trips float64 exactly; data files
+CSV cells hold floats at 17 significant digits and JSON floats are
+Python's shortest round-trip repr; both read back as the same float64,
+with '.' as the decimal separator and no locale dependence.  Data files
 never contain timestamps, so equal inputs give byte-identical output.
 
 :func:`csv_rows` writes rows given one by one.  :func:`grid_csv` writes
@@ -28,33 +29,28 @@ def fmt(x: float) -> str:
     return format(float(x), FLOAT_FORMAT)
 
 
-def _jsonable(obj):
-    if isinstance(obj, float):
-        return float(fmt(obj))
-    if isinstance(obj, (np.floating,)):
-        return float(fmt(float(obj)))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+def _json_default(obj):
+    """A numpy array or scalar as JSON values, a complex number as [real, imag]."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, complex):
-        return [float(fmt(obj.real)), float(fmt(obj.imag))]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return [obj.real, obj.imag]
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def json_dumps(obj) -> str:
-    """Deterministic JSON text with full float precision."""
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=False) + "\n"
+    """Deterministic JSON text; floats are their shortest repr, which is exact."""
+    return json.dumps(obj, indent=2, default=_json_default) + "\n"
 
 
 def matrix_to_json_dict(m: np.ndarray) -> dict:
     """Matrix as {"n": ..., "rows": [[...], ...]}."""
     m = np.asarray(m, dtype=float)
-    return {"n": int(m.shape[0]), "rows": [[float(v) for v in row] for row in m]}
+    return {"n": int(m.shape[0]), "rows": m.tolist()}
 
 
 def csv_rows(header: list[str], rows) -> str:

@@ -347,6 +347,23 @@ def test_negative_values_in_exponent_form_are_numbers(value, tmp_path):
     assert meta["full"] == [float(value), -1.0, float(value), 0.2]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--full", "-inf", "1", "1", "1"], "a must be finite, got -inf"),
+        (
+            ["spectrum", "--alpha", "0.3", "--tol", "-nan"],
+            "tolerance must be positive and finite, got nan",
+        ),
+        (["spectrum", "--two-state", "-INF"], "b must be finite, got -inf"),
+    ],
+)
+def test_negative_inf_and_nan_reach_the_flags_own_check(capsys, argv, message):
+    # argparse took "-inf" for an option string: "argument --full: expected 4 arguments".
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_metric_basis_output(capsys):
     code, out = run(capsys, "metric", "--alpha", "0.3", "--basis")
     doc = json.loads(out)

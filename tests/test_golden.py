@@ -59,9 +59,17 @@ def test_stdout_matches_golden(name, capsys):
 
 
 def test_scan_out_file_and_sidecar_match_golden(tmp_path):
+    # A --range value starting with "-" needs no "=", also from a config file.
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text("range = -4:4:-2:3\n")
+    golden = "scan_d2_0.3_range_-4_4_-2_3_res_7x13.csv"
+    runs = [(name, CASES[name]) for name in SCANS] + [
+        (golden, ["scan", "--d2", "0.3", *spelling, "--res", "7x13"])
+        for spelling in (["--range", "-4:4:-2:3"], ["--config", str(cfg)])
+    ]
     out = tmp_path / "scan.csv"
-    for name in SCANS:
-        assert main([*CASES[name], "--out", str(out)]) == 0
+    for name, argv in runs:
+        assert main([*argv, "--out", str(out)]) == 0
         assert out.read_text() == (GOLDEN / name).read_text()
         assert Path(f"{out}.meta.json").read_text() == (GOLDEN / f"{name}.meta.json").read_text()
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -166,6 +167,19 @@ def test_spike_edges_converge_linearly():
 def test_spike_edges_need_positive_t():
     with pytest.raises(ValueError):
         spike_band_edges(0.0, 0.0)
+    with pytest.raises(ValueError, match="t must be finite"):
+        spike_band_edges(0.3, math.inf)
+    with pytest.raises(ValueError, match="coef_c must be finite"):
+        spike_band_edges(math.nan, 0.1)
+
+
+def test_spike_edges_do_not_warn_past_the_policy_bound():
+    # They built a SpikeAnsatz for their inside check, which warned that
+    # second-order accuracy degrades at t > 0.2; the edges are exact at any t.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower, upper = spike_band_edges(0.3, 0.3)
+    assert lower < 0.3 < upper
 
 
 def _mp_margin(coef_c, t, coef_a):
