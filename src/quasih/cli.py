@@ -21,7 +21,9 @@ Negative numbers in any form (``-8.4e-05``, ``-inf``) and ``--range
 
 Exit status: :func:`main` returns 0 on success, 1 on numerical failure
 and 2 on a usage error, with a one-line ``error:`` message on stderr for
-1 and 2; only ``-h`` and ``--version`` raise ``SystemExit``.  The
+1 and 2; only ``-h`` and ``--version`` raise ``SystemExit``.  A warning,
+such as ``fig2 --t-max`` past the spike policy bound, is one ``warning:``
+line on stderr.  The
 ``QUASIH_THREADS`` environment variable is accepted and ignored: the grid
 scan is one numpy evaluation.
 """
@@ -33,6 +35,7 @@ import functools
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import NoReturn
 
@@ -79,6 +82,10 @@ from quasih.spectrum import DEFAULT_REALITY_TOL, numeric_energies
 #: Largest scan grid, in cells: 2000x2000.  A grid holds several float64
 #: arrays of this size and its CSV one row per cell.
 MAX_SCAN_CELLS = 4_000_000
+
+#: Most points in a ``metric --profile`` sweep.  Each point is one positivity
+#: search, about 10 ms and up to a few hundred near the exceptional point.
+MAX_PROFILE_POINTS = 10_000
 
 
 def dim_domain(n: int) -> int:
@@ -191,6 +198,8 @@ def _parse_profile(text: str) -> tuple[float, float, int]:
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
         raise argparse.ArgumentTypeError("profile n must be >= 1")
+    if n > MAX_PROFILE_POINTS:
+        raise argparse.ArgumentTypeError(f"profile n must be <= {MAX_PROFILE_POINTS}")
     return lo, hi, n
 
 
@@ -431,9 +440,16 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _format_warning(message, *_) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # A warning that reaches stderr is one line, like an error; a caller that
+    # records warnings still gets the warning itself.
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         path = _config_path(argv)
         if path is not None and argv[0] in parser.subcommands:
@@ -447,6 +463,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -161,12 +161,69 @@ def closed_form_band_metric(
     )
 
 
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on first use: the module takes
-    longer to import than most requests take to run."""
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass(frozen=True)
+class PolishResult:
+    """:func:`minimize`'s best vertex, its value, the evaluation count and
+    status 0 (converged) or 2 (iteration limit)."""
 
-    return scipy_minimize(fun, x0, **kwargs)
+    x: np.ndarray
+    fun: float
+    nfev: int
+    status: int
+
+
+def minimize(fun, x0) -> PolishResult:
+    """Nelder-Mead (Nelder & Mead 1965) that takes the steps of scipy's
+    ``minimize(method="Nelder-Mead")`` with xatol=1e-12, fatol=1e-14 and
+    maxiter=2000 bit for bit: the same initial simplex (one entry of x0
+    scaled by 1.05, or 0.00025 if 0), rho=1, chi=2, psi=sigma=1/2, the same
+    ``argsort``/``take`` ordering and stopping test.  It spares a request
+    the import of scipy.optimize, which takes longer than most requests.
+    """
+    x0 = np.array(x0, dtype=float).ravel()
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.array([fun(x) for x in sim], dtype=float)
+    nfev = n + 1
+    # scipy sorts twice before the first step; argsort is not stable on ties.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < 2000:
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = fun(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # Contract outside if xr beats the worst vertex, else inside.
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = fun(xc)
+            nfev += 1
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = [fun(x) for x in sim[1:]]
+                nfev += n
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return PolishResult(sim[0], np.min(fsim), nfev, 2 if iterations >= 2000 else 0)
 
 
 def _signed_min_eig(theta: np.ndarray) -> tuple[float, float]:
@@ -208,7 +265,8 @@ def find_positive(fam: MetricFamily, pos_tol: float = 1e-12) -> PositivityCertif
     left eigenvectors of the real eigenvalues is therefore positive
     definite for an all-real spectrum (positive semidefinite for a mixed
     one); it and the signed basis elements seed a Nelder-Mead polish of
-    the normalized smallest eigenvalue.  When any eigenvalue is non-real
+    the normalized smallest eigenvalue (:func:`minimize`, quasih's own,
+    step for step scipy's).  When any eigenvalue is non-real
     no positive Theta exists, so there is no polish: the certificate is
     the best of these starts, not positive (about 0 for a mixed spectrum,
     a basis element's ratio for an all-complex one).
@@ -245,12 +303,7 @@ def find_positive(fam: MetricFamily, pos_tol: float = 1e-12) -> PositivityCertif
     # No positive Theta exists for a non-real spectrum, so the best start
     # is reported as it is: the polish could not change the verdict.
     if real.all():
-        res = minimize(
-            objective,
-            best_coeffs,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
-        )
+        res = minimize(objective, best_coeffs)
         if -res.fun > best_min:
             m, sign = _signed_min_eig(_candidate(stack, res.x))
             best_min, best_coeffs = m, sign * res.x

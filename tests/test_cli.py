@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import quasih.cli
-from quasih.cli import MAX_SCAN_CELLS, _parser, dim_domain, main
+from quasih.cli import MAX_PROFILE_POINTS, MAX_SCAN_CELLS, _parser, dim_domain, main
 
 
 def run(capsys, *argv):
@@ -252,6 +257,19 @@ def test_metric_profile_needs_at_least_one_point(capsys):
     assert capsys.readouterr() == ("", "error: argument --profile: profile n must be >= 1\n")
 
 
+def test_metric_profile_points_are_capped(capsys, monkeypatch):
+    # 1e9 points ran out of memory in np.linspace, with a traceback and exit 1.
+    def profile(alphas):
+        raise AssertionError("the profile ran past the point cap")
+
+    monkeypatch.setattr(quasih.cli, "boundary_degeneracy_profile", profile)
+    assert main(["metric", "--profile", f"0.1:0.5:{MAX_PROFILE_POINTS + 1}"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: argument --profile: profile n must be <= {MAX_PROFILE_POINTS}\n",
+    )
+
+
 @pytest.mark.parametrize("flag", ["-h", "--version"])
 def test_only_help_and_version_exit(capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -451,6 +469,28 @@ def test_fig2_warns_once_past_the_policy_bound(capsys):
     with pytest.warns(UserWarning, match="policy bound") as record:
         assert main(["fig2", "--t-max", "0.5", "--t-steps", "4", "--res-a", "3"]) == 0
     assert len(record) == 1
+
+
+def test_fig2_warning_is_one_stderr_line(capsys):
+    # The process printed Python's warning format: the path of cli.py, a
+    # line number and the source line that built the SpikeAnsatz.
+    argv = ["fig2", "--t-max", "0.5", "--t-steps", "4", "--res-a", "3"]
+    src = str(Path(quasih.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasih.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning):
+        assert main(argv) == 0
+    assert warnings.formatwarning is formatwarning
+    assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
+    assert proc.stderr == (
+        "warning: t=0.5 exceeds the policy bound 0.2; second-order accuracy degrades\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -89,17 +89,44 @@ print(json.dumps({"after_scan": after_scan, "after_pmn": "scipy.optimize" in sys
 """
 
 
-def test_scan_does_not_import_scipy_optimize():
+def run_probe(code: str) -> dict:
+    """The JSON that code prints when run in a fresh interpreter."""
     src = str(Path(quasih.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_scan_does_not_import_scipy_optimize():
+    report = run_probe(IMPORT_PROBE)
     assert not report["after_scan"]
     assert report["after_pmn"]
     assert report["pmn"] == (GOLDEN / "pmn_d2_1.6.json").read_text()
+
+
+# The positivity polish is quasih's own Nelder-Mead: no scipy module at all.
+METRIC_PROBE = """
+import contextlib, io, json, sys
+import quasih.cli
+report = []
+for argv in (["metric", "--alpha", "0.3", "--basis", "--positivity"],
+             ["metric", "--profile", "0.05:0.6:5"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert quasih.cli.main(argv) == 0
+    report.append([out.getvalue(), sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(report))
+"""
+
+
+def test_metric_certificate_and_profile_do_not_import_scipy():
+    (positivity, after_positivity), (profile, after_profile) = run_probe(METRIC_PROBE)
+    assert after_positivity == after_profile == []
+    assert positivity == (GOLDEN / "metric_alpha_0.3_basis_positivity.json").read_text()
+    assert profile == (GOLDEN / "metric_profile_0.05_0.6_5.csv").read_text()

@@ -224,6 +224,64 @@ def test_non_real_spectrum_is_decided_without_the_polish(h, monkeypatch):
     assert not find_positive(metric_nullspace(h)).positive
 
 
+# Held here, before any test patches the module's name.
+POLISH = quasih.metric.minimize
+
+
+def assert_polish_is_scipys(fun, x0):
+    """quasih's Nelder-Mead against scipy's, bit for bit; returns quasih's."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    ours = POLISH(fun, x0)
+    ref = scipy_minimize(
+        fun,
+        x0,
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
+    )
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert (ours.fun, ours.nfev, ours.status) == (ref.fun, ref.nfev, ref.status)
+    return ours
+
+
+OBJECTIVES = {
+    # Rosenbrock's sum plus (1 - x_n)^2, so that it also varies in one dimension.
+    "rosenbrock": lambda x: np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+    + (1.0 - x[-1]) ** 2,
+    # Plateaus: reflections and contractions tie, which forces shrink steps.
+    "plateau": lambda x: np.floor(4.0 * np.dot(x, x)),
+    "max_abs": lambda x: np.max(np.abs(x - 0.3)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 5),
+    objective=st.sampled_from(sorted(OBJECTIVES)),
+)
+def test_polish_takes_scipys_steps_bit_for_bit(seed, dim, objective):
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=dim) * rng.choice([0.1, 1.0, 5.0])
+    # A zero entry gets scipy's absolute initial step instead of the 5% one.
+    x0[rng.random(dim) < 0.3] = 0.0
+    assert_polish_is_scipys(OBJECTIVES[objective], x0)
+
+
+# 0.271890064688125 stops at the iteration limit after 9,802 evaluations.
+@pytest.mark.parametrize("alpha, status", [(0.3, 0), (0.271890064688125, 2)])
+def test_find_positive_polish_takes_scipys_steps(alpha, status, monkeypatch):
+    results = []
+
+    def minimize(fun, x0):
+        results.append(assert_polish_is_scipys(fun, x0))
+        return results[-1]
+
+    monkeypatch.setattr(quasih.metric, "minimize", minimize)
+    find_positive(metric_nullspace(build_alpha(alpha)))
+    assert [r.status for r in results] == [status]
+
+
 def near_boundary_full_points(n_rays=6, seed=6):
     """(a, b, d, margin target) on seeded rays from the origin, bisected to
     domain margin +1e-6 (inside D) and -1e-6 (outside)."""
