@@ -44,7 +44,6 @@ import numpy as np
 from quasih import __version__
 from quasih.domain import (
     DEFAULT_MARGIN_TOL,
-    BoundaryTraceError,
     _margins,
     boundary_trace_ray,
     figure1_geometry,
@@ -114,9 +113,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _config_argv(path: str, command: argparse.ArgumentParser) -> list[str]:
-    """The ``key = value`` lines of a config file as flags of ``command``."""
-    argv = []
+def _with_config(argv: list[str], parser: _Parser) -> list[str]:
+    """argv with the ``key = value`` lines of its last ``--config`` file read
+    in as flags right after the subcommand."""
+    path = None
+    for token, following in zip(argv, [*argv[1:], None]):
+        flag, eq, value = token.partition("=")
+        if flag == "--config":
+            path = value if eq else following
+    if path is None or argv[0] not in parser.subcommands:
+        return argv
+    command = parser.subcommands[argv[0]]
+    flags = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -129,23 +137,12 @@ def _config_argv(path: str, command: argparse.ArgumentParser) -> list[str]:
         if action is None or flag in ("--config", "--help"):
             raise ValueError(f"{command.prog} has no config key {key!r}")
         if action.nargs != 0:
-            argv += [flag, *(value.split() if action.nargs else [value])]
+            flags += [flag, *(value.split() if action.nargs else [value])]
         elif value not in ("true", "false"):
             raise ValueError(f"config key {key!r} takes true or false")
         elif value == "true":
-            argv.append(flag)
-    return argv
-
-
-def _config_path(argv: list[str]) -> str | None:
-    """The value of the last ``--config`` flag in argv."""
-    path = None
-    for token, following in zip(argv, [*argv[1:], None]):
-        if token == "--config":
-            path = following
-        elif token.startswith("--config="):
-            path = token[len("--config="):]
-    return path
+            flags.append(flag)
+    return [argv[0], *flags, *argv[1:]]
 
 
 def _emit(args, text: str) -> None:
@@ -174,28 +171,31 @@ def _matrix(args) -> np.ndarray:
     return build_alpha(args.alpha)
 
 
+def _fields(text: str, sep: str, kinds: tuple, usage: str) -> tuple:
+    """The ``sep``-separated fields of ``text``, each read by its kind; a
+    wrong count or a field that does not read is the flag's usage message."""
+    parts = text.split(sep)
+    try:
+        if len(parts) == len(kinds):
+            return tuple(kind(part) for kind, part in zip(kinds, parts))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(usage)
+
+
 def _parse_range(text: str) -> tuple[float, float, float, float]:
-    parts = [float(p) for p in text.split(":")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("range must be a_min:a_max:b_min:b_max")
-    return tuple(parts)
+    return _fields(text, ":", (float,) * 4, "range must be a_min:a_max:b_min:b_max")
 
 
 def _parse_res(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("resolution must be NxM")
-    na, nb = int(parts[0]), int(parts[1])
+    na, nb = _fields(text.lower(), "x", (int, int), "resolution must be NxM")
     if na < 1 or nb < 1:
         raise argparse.ArgumentTypeError("resolution counts must be >= 1")
     return na, nb
 
 
 def _parse_profile(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("profile must be alpha_min:alpha_max:n")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = _fields(text, ":", (float, float, int), "profile must be alpha_min:alpha_max:n")
     if n < 1:
         raise argparse.ArgumentTypeError("profile n must be >= 1")
     if n > MAX_PROFILE_POINTS:
@@ -451,13 +451,10 @@ def main(argv=None) -> int:
     # records warnings still gets the warning itself.
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        path = _config_path(argv)
-        if path is not None and argv[0] in parser.subcommands:
-            argv[1:1] = _config_argv(path, parser.subcommands[argv[0]])
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(argv, parser))
         _emit(args, args.func(args))
         return 0
-    except (BoundaryTraceError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, FloatingPointError) as exc:

@@ -113,8 +113,9 @@ def brentq(f, a, b, **kwargs):
     return scipy_brentq(f, a, b, **kwargs)
 
 
-def _circle_branch_roots(f, n_scan: int = 4096) -> list[float]:
-    """Angles where f(theta) changes sign on [0, 2*pi)."""
+def _circle_branch_roots(f) -> list[float]:
+    """Angles where f(theta) changes sign on [0, 2*pi), from 4096 samples."""
+    n_scan = 4096
     thetas = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
     vals = np.array([f(t) for t in thetas])
     roots = []
@@ -129,14 +130,14 @@ def _circle_branch_roots(f, n_scan: int = 4096) -> list[float]:
     return roots
 
 
-def pmn_points(d2: float, n_scan: int = 4096) -> list[PMNPoint]:
+def pmn_points(d2: float) -> list[PMNPoint]:
     """All PMN points in the a-b plane for a fixed d^2 in (0, 5).
 
     Intersects the centered circle of radius sqrt(10 - 2 d^2) with each
-    hyperbola branch by a 1-D angular root search; the list may be empty
-    when the circle misses both hyperbolas.  There are up to 8 points
-    (8 for small d^2, e.g. d^2 = 0.1; 4 at d^2 = 1.6), and the set is
-    symmetric under (a, b) -> (-a, -b).
+    hyperbola branch by a sign scan at 4096 angles, refined by brentq;
+    the list may be empty when the circle misses both hyperbolas.  There
+    are up to 8 points (8 for small d^2, e.g. d^2 = 0.1; 4 at
+    d^2 = 1.6), and the set is symmetric under (a, b) -> (-a, -b).
     """
     if not 0.0 < d2 < 5.0:
         raise ValueError("d2 must lie in (0, 5)")
@@ -149,7 +150,7 @@ def pmn_points(d2: float, n_scan: int = 4096) -> list[PMNPoint]:
 
     points = []
     for which in (0, 1):
-        for theta in _circle_branch_roots(lambda t: factor(t, which), n_scan):
+        for theta in _circle_branch_roots(lambda t: factor(t, which)):
             a, b = r * math.cos(theta), r * math.sin(theta)
             points.append(
                 PMNPoint(
@@ -171,14 +172,13 @@ def boundary_trace_ray(
     direction: tuple[float, float],
     d: float,
     tol: float = DEFAULT_MARGIN_TOL,
-    max_length: float = 100.0,
 ) -> tuple[float, float]:
     """First boundary crossing along a ray from an interior point.
 
-    Marches outward until the membership margin changes sign, then
-    bisects (at most ``BISECTION_MAX_STEPS`` steps) to |margin| <= tol.
-    Raises :class:`BoundaryTraceError` if the center is not inside or no
-    sign change occurs within ``max_length``.
+    Marches outward in steps of 0.25 until the membership margin changes
+    sign, then bisects (at most ``BISECTION_MAX_STEPS`` steps) to
+    |margin| <= tol.  Raises :class:`BoundaryTraceError` if the center is
+    not inside or no sign change occurs within length 100.
     """
     a0, b0 = center
     dx, dy = direction
@@ -194,10 +194,10 @@ def boundary_trace_ray(
         raise BoundaryTraceError("ray center lies outside the domain")
 
     # Bracket the first sign change by outward marching.
-    step, t_lo = max_length / 400.0, 0.0
+    step, t_lo = 0.25, 0.0
     t_hi = None
     t = step
-    while t <= max_length:
+    while t <= 100.0:
         if margin(t) < 0.0:
             t_hi = t
             break
@@ -251,31 +251,30 @@ def _margins(a, b, d):
     return A, B, np.minimum(np.minimum(A, A * A - B), B)
 
 
-def _hyperbola_polyline(
-    center: tuple[float, float], d2: float, n: int, u_max: float
-) -> list[np.ndarray]:
+def _hyperbola_polyline(center: tuple[float, float], d2: float) -> list[np.ndarray]:
     """Two branches of the locus d^2 = (b - b0)(a - a0) as polylines.
 
     Parameterized as a = a0 + u, b = b0 + d2/u with branch parameter
-    u != 0; the two signs of u give the two branches.
+    u != 0; the two signs of u give the two branches, each 400 points
+    with |u| geometric from d2/18 to 8.
     """
     a0, b0 = center
-    u_min = d2 / (u_max + 10.0)
     branches = []
     for s in (1.0, -1.0):
-        u = s * np.geomspace(u_min, u_max, n)
+        u = s * np.geomspace(d2 / 18.0, 8.0, 400)
         a = a0 + u
         b = b0 + d2 / u
         branches.append(np.column_stack([a, b]))
     return branches
 
 
-def figure1_geometry(d2: float, n_samples: int = 400) -> dict:
+def figure1_geometry(d2: float) -> dict:
     """Geometry of the PMN construction at fixed d^2.
 
-    Returns the circle radius sqrt(10 - 2 d^2), polyline samples of the
-    two hyperbola loci d^2 = (b+3)(a-1) and d^2 = (b-3)(a+1) (centers
-    (-1, 3) and (1, -3)), and the circle-hyperbola intersections.
+    Returns the circle radius sqrt(10 - 2 d^2), 400-point polylines of
+    each branch of the two hyperbola loci d^2 = (b+3)(a-1) and
+    d^2 = (b-3)(a+1) (centers (-1, 3) and (1, -3)), and the
+    circle-hyperbola intersections.
     """
     if not 0.0 < d2 < 5.0:
         raise ValueError("d2 must lie in (0, 5)")
@@ -286,12 +285,12 @@ def figure1_geometry(d2: float, n_samples: int = 400) -> dict:
         {
             "locus": "alpha_hyp",
             "center": (1.0, -3.0),
-            "branches": _hyperbola_polyline((1.0, -3.0), d2, n_samples, 8.0),
+            "branches": _hyperbola_polyline((1.0, -3.0), d2),
         },
         {
             "locus": "beta_hyp",
             "center": (-1.0, 3.0),
-            "branches": _hyperbola_polyline((-1.0, 3.0), d2, n_samples, 8.0),
+            "branches": _hyperbola_polyline((-1.0, 3.0), d2),
         },
     ]
     return {

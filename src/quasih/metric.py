@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quasih.model import _require_finite, _require_positive, build_alpha
+from quasih.spectrum import _finite_square
 
 #: Default relative SVD threshold for nullspace rank decisions.
 DEFAULT_RANK_TOL = 1e-10
@@ -54,8 +55,8 @@ class PositivityCertificate:
     ``coefficients`` are the weights over the family basis of the
     reported candidate, normalized to unit largest eigenvalue of Theta;
     ``min_eigenvalue`` is its smallest eigenvalue after that
-    normalization, and ``positive`` says whether it exceeds the
-    positivity tolerance.  Inside the reality domain a positive member
+    normalization, and ``positive`` says whether it exceeds the fixed
+    positivity tolerance 1e-12.  Inside the reality domain a positive member
     exists by construction; outside it none exists, and the reported
     candidate is the best deterministic start, unpolished, with
     ``positive`` False.
@@ -66,21 +67,15 @@ class PositivityCertificate:
     positive: bool
 
 
-def _sym_basis(n: int) -> list[np.ndarray]:
+def _sym_basis(n: int) -> np.ndarray:
+    """The n(n+1)/2 symmetric unit matrices E_ij = E_ji (i <= j), stacked."""
     basis = []
     for i in range(n):
         for j in range(i, n):
             e = np.zeros((n, n))
             e[i, j] = e[j, i] = 1.0
             basis.append(e)
-    return basis
-
-
-def _unvec_sym(coeffs: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    theta = np.zeros_like(basis[0])
-    for c, e in zip(coeffs, basis):
-        theta += c * e
-    return theta
+    return np.stack(basis)
 
 
 def _equation_residual(h: np.ndarray, theta: np.ndarray) -> float:
@@ -96,34 +91,23 @@ def metric_nullspace(h: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Metri
     n(n+1)/2-dimensional symmetric sector and its nullspace is taken at
     singular values below rank_tol * sigma_max.  Near the domain
     boundary the nullspace is ill-conditioned, hence the exposed
-    threshold.
+    threshold.  The map and the residual use H scaled by a power of two
+    to largest entry in [1/2, 1): exact, as the equation is homogeneous.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
-    n = h.shape[0]
-    if n > MAX_NULLSPACE_DIM:
-        raise ValueError(f"dimension {n} exceeds limit {MAX_NULLSPACE_DIM}")
+    h = _finite_square(h, MAX_NULLSPACE_DIM)
     _require_positive(rank_tol=rank_tol)
 
-    basis = _sym_basis(n)
-    k = np.column_stack([(h.T @ e - e @ h).ravel() for e in basis])
+    scaled = np.ldexp(h, -math.frexp(np.max(np.abs(h)))[1])
+    stack = _sym_basis(len(h))
+    k = np.column_stack([(scaled.T @ e - e @ scaled).ravel() for e in stack])
+    # The map has n^2 >= n(n+1)/2 rows, so vt has one row per singular
+    # value; with sigma_max = 0 every row is kept.
     _, sigma, vt = np.linalg.svd(k)
-    if sigma.size and sigma[0] > 0:
-        null_vectors = [vt[i] for i in range(len(sigma)) if sigma[i] <= rank_tol * sigma[0]]
-    else:
-        null_vectors = [vt[i] for i in range(len(sigma))]
-    # Rows of vt beyond the singular spectrum are exact nullspace vectors.
-    null_vectors += list(vt[len(sigma) :])
-
     family = []
-    residual = 0.0
-    for vec in null_vectors:
-        theta = _unvec_sym(vec, basis)
-        theta /= np.max(np.abs(theta))
-        theta = 0.5 * (theta + theta.T)  # exact symmetry
-        family.append(theta)
-        residual = max(residual, _equation_residual(h, theta))
+    for vec in vt[sigma <= rank_tol * sigma[0]]:
+        theta = _candidate(stack, vec)  # exactly symmetric, as each E_ij is
+        family.append(theta / np.max(np.abs(theta)))
+    residual = max((_equation_residual(scaled, theta) for theta in family), default=0.0)
     return MetricFamily(h=h, dim=len(family), basis=tuple(family), residual=residual)
 
 
@@ -256,7 +240,7 @@ def _candidate(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (theta + theta.T)
 
 
-def find_positive(fam: MetricFamily, pos_tol: float = 1e-12) -> PositivityCertificate:
+def find_positive(fam: MetricFamily) -> PositivityCertificate:
     """Best positive-definite metric in the family span, found deterministically.
 
     H is quasi-Hermitian exactly when it is diagonalizable with a real
@@ -287,10 +271,8 @@ def find_positive(fam: MetricFamily, pos_tol: float = 1e-12) -> PositivityCertif
     best_coeffs = None
     best_min = -math.inf
     for coeffs in candidates:
-        theta = _candidate(stack, coeffs)
-        if np.max(np.abs(theta)) == 0.0:
-            continue
-        m, sign = _signed_min_eig(theta)
+        # Theta = 0 scores -inf, which never beats the start.
+        m, sign = _signed_min_eig(_candidate(stack, coeffs))
         if m > best_min:
             best_min, best_coeffs = m, sign * coeffs
 
@@ -312,12 +294,12 @@ def find_positive(fam: MetricFamily, pos_tol: float = 1e-12) -> PositivityCertif
     w = np.linalg.eigvalsh(_candidate(stack, best_coeffs))
     if w[-1] > 0:
         best_coeffs = np.asarray(best_coeffs) / w[-1]
-    # Positivity below numerical noise cannot be certified (e.g. the
-    # singular family at an exceptional point).
+    # Positivity below numerical noise, 1e-12, cannot be certified (e.g.
+    # the singular family at an exceptional point).
     return PositivityCertificate(
         coefficients=tuple(float(c) for c in np.atleast_1d(best_coeffs)),
         min_eigenvalue=float(best_min),
-        positive=bool(best_min > pos_tol),
+        positive=bool(best_min > 1e-12),
     )
 
 
@@ -332,12 +314,14 @@ def boundary_degeneracy_profile(alphas) -> list[tuple[float, float]]:
     positive Theta (unit largest eigenvalue) from :func:`find_positive`
     is reported; the profile collapses toward zero as the exceptional
     point is approached.  At alpha = sqrt(2/5) exactly, H is defective
-    and the profile value is NaN (flagged, not computed).
+    and the profile value is NaN (flagged, not computed).  Every alpha is
+    checked before the first certificate is computed.
     """
+    alphas = list(alphas)
+    if not all(0.0 < alpha <= ALPHA_CRITICAL for alpha in alphas):
+        raise ValueError("alpha must lie in (0, sqrt(2/5)]")
     profile = []
     for alpha in alphas:
-        if not 0.0 < alpha <= ALPHA_CRITICAL:
-            raise ValueError("alpha must lie in (0, sqrt(2/5)]")
         if math.isclose(alpha, ALPHA_CRITICAL, rel_tol=0.0, abs_tol=1e-14):
             profile.append((alpha, math.nan))
             continue

@@ -79,15 +79,8 @@ def build_reordered(p: ParamPoint) -> np.ndarray:
     matrix into a tridiagonal-plus-corner form with diagonal
     (-3, -1, 1, 3); the spectrum is unchanged.
     """
-    a, b, c, d = p.as_tuple()
-    return np.array(
-        [
-            [-3.0, c, 0.0, b],
-            [-c, -1.0, -a, 0.0],
-            [0.0, a, 1.0, d],
-            [-b, 0.0, -d, 3.0],
-        ]
-    )
+    order = [0, 2, 1, 3]
+    return build_full(p)[np.ix_(order, order)]
 
 
 def build_band(a: float, c: float) -> np.ndarray:

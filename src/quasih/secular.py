@@ -35,8 +35,8 @@ class SecularInvariants:
     ``A`` and ``B`` are the biquadratic invariants computed from
     (a, b, d); they characterize the spectrum only when c^2 = d^2 (the
     ``reduced_valid`` flag records whether that holds for the source
-    point).  ``alpha_hyp`` and ``beta_hyp`` are the hyperbola factors
-    (b+3)(a-1) and (b-3)(a+1).
+    point, to |c^2 - d^2| <= 1e-12 * max(1, c^2, d^2)).  ``alpha_hyp``
+    and ``beta_hyp`` are the hyperbola factors (b+3)(a-1) and (b-3)(a+1).
     """
 
     e4: float
@@ -65,7 +65,7 @@ def constant_term(a: float, b: float, c: float, d: float) -> float:
     )
 
 
-def secular_coeffs(p: ParamPoint, sym_tol: float = 1e-12) -> SecularInvariants:
+def secular_coeffs(p: ParamPoint) -> SecularInvariants:
     """Quartic coefficients and invariants for a parameter point."""
     a, b, c, d = p.as_tuple()
     e2 = -(10.0 - a * a - b * b - c * c - d * d)
@@ -83,7 +83,7 @@ def secular_coeffs(p: ParamPoint, sym_tol: float = 1e-12) -> SecularInvariants:
         B=B,
         alpha_hyp=ah,
         beta_hyp=bh,
-        reduced_valid=abs(c * c - d * d) <= sym_tol * max(1.0, c * c, d * d),
+        reduced_valid=abs(c * c - d * d) <= 1e-12 * max(1.0, c * c, d * d),
     )
 
 

@@ -29,6 +29,19 @@ DEFAULT_REALITY_TOL = 1e-9
 MAX_DIM = 64
 
 
+def _finite_square(h, max_dim: int) -> np.ndarray:
+    """h as a float array, checked to be a square matrix of finite entries
+    and dimension at most max_dim."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("matrix must be square")
+    if h.shape[0] > max_dim:
+        raise ValueError(f"dimension {h.shape[0]} exceeds limit {max_dim}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix entries must be finite")
+    return h
+
+
 class Reality(enum.Enum):
     """Reality classification of a spectrum."""
 
@@ -127,11 +140,4 @@ def quartic_energies(
 
 def numeric_energies(h: np.ndarray, tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
     """Eigenvalues of a real square matrix as a classified spectrum."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
-    if h.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {h.shape[0]} exceeds limit {MAX_DIM}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("matrix entries must be finite")
-    return spectrum_from_roots(np.linalg.eigvals(h), tol)
+    return spectrum_from_roots(np.linalg.eigvals(_finite_square(h, MAX_DIM)), tol)

@@ -194,6 +194,20 @@ def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, line, message
     assert capsys.readouterr().err == message
 
 
+def test_config_switch_takes_true_or_false(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("basis = yes\n")
+    assert main(["metric", "--alpha", "0.3", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "error: config key 'basis' takes true or false\n")
+
+
+def test_config_path_after_an_equals_sign_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("\n# a comment line\n   \nd2 = 1.6\n  # indented comment\nres = 5x5\n\n")
+    _, from_config = run(capsys, "scan", f"--config={cfg}")
+    assert from_config == run(capsys, "scan", "--d2", "1.6", "--res", "5x5")[1]
+
+
 def test_config_must_be_spelled_out(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("res = 3x3\n")
@@ -268,6 +282,67 @@ def test_metric_profile_points_are_capped(capsys, monkeypatch):
         "",
         f"error: argument --profile: profile n must be <= {MAX_PROFILE_POINTS}\n",
     )
+
+
+def test_metric_profile_checks_every_alpha_before_the_first_certificate(capsys, monkeypatch):
+    # The range check ran per point: 0.05:0.7:60 spent a second on
+    # certificates before it printed its error.
+    def find_positive(fam):
+        raise AssertionError("a certificate was computed before the range check")
+
+    monkeypatch.setattr(quasih.metric, "find_positive", find_positive)
+    assert main(["metric", "--profile", "0.05:0.7:60"]) == 2
+    assert capsys.readouterr() == ("", "error: alpha must lie in (0, sqrt(2/5)]\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan", "--d2", "1", "--res", "3x"], "argument --res: resolution must be NxM"),
+        (["scan", "--d2", "1", "--res", "3.5x4"], "argument --res: resolution must be NxM"),
+        (["scan", "--d2", "1", "--res", "0x4"], "argument --res: resolution counts must be >= 1"),
+        (
+            ["scan", "--d2", "1", "--range", "1:2:x:4"],
+            "argument --range: range must be a_min:a_max:b_min:b_max",
+        ),
+        (
+            ["metric", "--profile", "0.1:x:5"],
+            "argument --profile: profile must be alpha_min:alpha_max:n",
+        ),
+        (
+            ["metric", "--profile", "0.1:0.2:2.5"],
+            "argument --profile: profile must be alpha_min:alpha_max:n",
+        ),
+        (
+            ["metric", "--profile", "0.1:0.2"],
+            "argument --profile: profile must be alpha_min:alpha_max:n",
+        ),
+    ],
+)
+def test_each_field_flag_has_one_usage_message(capsys, argv, message):
+    # A field that did not read named the private parser function:
+    # "invalid _parse_res value: '3x'".
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_metric_rejects_a_coupling_that_overflows_the_matrix(capsys):
+    # 2 * 1e308 is inf: two warnings, "SVD did not converge" and exit 1.
+    assert main(["metric", "--alpha", "1e308", "--positivity"]) == 2
+    assert capsys.readouterr() == ("", "error: matrix entries must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "model, dim",
+    [(["--full", "1e308", "1e308", "1e308", "1e308"], 5), (["--two-state", "1e308"], 2)],
+)
+def test_metric_family_of_huge_finite_couplings(capsys, model, dim):
+    # The map overflowed: dims 10 and 3 with residual inf, as at 1e307 no longer.
+    code, out = run(capsys, "metric", *model)
+    assert code == 0 and capsys.readouterr().err == ""
+    doc = json.loads(out)
+    assert doc["dim"] == dim
+    assert doc["residual"] <= 1e-15
 
 
 @pytest.mark.parametrize("flag", ["-h", "--version"])

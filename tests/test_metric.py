@@ -381,6 +381,36 @@ def test_degeneracy_profile_rejects_out_of_range():
         boundary_degeneracy_profile([0.7])
 
 
+def test_degeneracy_profile_checks_every_alpha_before_the_first_certificate(monkeypatch):
+    # The check ran inside the loop, so 0.1 was certified before 0.7 failed.
+    def find_positive(fam):
+        raise AssertionError("a certificate was computed before the range check")
+
+    monkeypatch.setattr(quasih.metric, "find_positive", find_positive)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, sqrt\(2/5\)\]"):
+        boundary_degeneracy_profile([0.1, 0.3, 0.7])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nullspace_rejects_non_finite_entries(bad):
+    h = build_alpha(0.3)
+    h[1, 2] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        metric_nullspace(h)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -100, 100, 600, 1000])
+def test_nullspace_is_invariant_under_power_of_two_scaling(k):
+    # The equation is homogeneous; at 2**1000 the map overflowed to inf and
+    # the family came out with dim 10 and residual inf.
+    h = build_full(ParamPoint(0.3, -1.2, 0.7, 0.7))
+    fam, scaled = metric_nullspace(h), metric_nullspace(np.ldexp(h, k))
+    assert scaled.dim == fam.dim == 4
+    assert scaled.residual == fam.residual
+    for e, f in zip(fam.basis, scaled.basis):
+        assert e.tobytes() == f.tobytes()
+
+
 def test_nullspace_rejects_bad_input():
     with pytest.raises(ValueError):
         metric_nullspace(np.zeros((3, 4)))

@@ -80,6 +80,20 @@ def test_reordered_unperturbed():
     )
 
 
+def test_reordered_is_tridiagonal_plus_corner():
+    # Diagonal (-3, -1, 1, 3), the couplings c, a, d on the first
+    # off-diagonals, b in the corners, each with its negative mirrored.
+    np.testing.assert_array_equal(
+        build_reordered(ParamPoint(2.0, 3.0, 5.0, 7.0)),
+        [
+            [-3.0, 5.0, 0.0, 3.0],
+            [-5.0, -1.0, -2.0, 0.0],
+            [0.0, 2.0, 1.0, 7.0],
+            [-3.0, 0.0, -7.0, 3.0],
+        ],
+    )
+
+
 @settings(max_examples=50)
 @given(a=finite, b=finite, c=finite, d=finite)
 def test_reordered_isospectral_to_full(a, b, c, d):
