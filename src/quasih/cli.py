@@ -23,9 +23,8 @@ Exit status: :func:`main` returns 0 on success, 1 on numerical failure
 and 2 on a usage error, with a one-line ``error:`` message on stderr for
 1 and 2; only ``-h`` and ``--version`` raise ``SystemExit``.  A warning,
 such as ``fig2 --t-max`` past the spike policy bound, is one ``warning:``
-line on stderr.  The
-``QUASIH_THREADS`` environment variable is accepted and ignored: the grid
-scan is one numpy evaluation.
+line on stderr.  The ``QUASIH_THREADS`` environment variable is accepted
+and ignored: the grid scan is one numpy evaluation.
 """
 
 from __future__ import annotations
@@ -215,6 +214,7 @@ def _cmd_spectrum(args) -> str:
     return json_dumps(doc)
 
 
+@np.errstate(over="raise", invalid="raise")  # a huge --d2 overflows A^2 - B
 def _cmd_scan(args) -> str:
     if args.d2 < 0:
         raise ValueError("d2 must be non-negative")
@@ -385,9 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("boundary", _cmd_boundary, "trace the domain boundary along a ray")
     p.add_argument("--center", type=float, nargs=2, required=True, metavar=("A", "B"))
-    p.add_argument(
-        "--direction", type=float, nargs=2, required=True, metavar=("DX", "DY")
-    )
+    p.add_argument("--direction", type=float, nargs=2, required=True, metavar=("DX", "DY"))
     p.add_argument("--d", type=float, required=True)
     tol(p)
 
@@ -403,18 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--basis", action="store_true", help="emit all basis matrices")
-    p.add_argument(
-        "--positivity", action="store_true", help="emit a positivity certificate"
-    )
+    p.add_argument("--positivity", action="store_true", help="emit a positivity certificate")
 
     p = command("perturb", _cmd_perturb, "band series, critical strength, spike ansatz")
     p.add_argument("--series", choices=["e1", "e3"])
     p.add_argument("--order", type=int, choices=[2, 4, 6])
     p.add_argument("--alpha", type=float)
     p.add_argument("--critical", action="store_true")
-    p.add_argument(
-        "--spike", type=float, nargs=3, metavar=("COEF_A", "COEF_C", "T")
-    )
+    p.add_argument("--spike", type=float, nargs=3, metavar=("COEF_A", "COEF_C", "T"))
 
     p = command("fig1", _cmd_fig1, "circle/hyperbola geometry of the PMN search")
     p.add_argument("--d2", type=float, required=True)

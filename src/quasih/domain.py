@@ -6,7 +6,10 @@ A^2 >= B >= 0 on the biquadratic invariants; the margin reported by
 the margin's zero set.  The points of maximal non-Hermiticity (PMN), where
 all four energies merge at zero, are the intersections of the circle
 a^2 + b^2 = 10 - 2 d^2 with the two hyperbolas d^2 = (b+3)(a-1) and
-d^2 = (b-3)(a+1).
+d^2 = (b-3)(a+1).  They are the real roots of one quartic, which
+:func:`_real_roots` isolates between the real roots of its derivatives
+and refines with :func:`brentq`; the spike edges in :mod:`quasih.perturb`
+are found the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quasih.model import _require_finite, _require_positive
-from quasih.secular import _reduced_AB, constant_term, hyperbola_factors, reduced_AB
+from quasih.secular import _reduced_AB, constant_term, reduced_AB
 
 #: Default absolute tolerance on the membership margin.
 DEFAULT_MARGIN_TOL = 1e-9
@@ -73,9 +76,7 @@ class GridScan:
     inside: np.ndarray
 
 
-def in_domain(
-    a: float, b: float, d: float, tol: float = DEFAULT_MARGIN_TOL
-) -> DomainVerdict:
+def in_domain(a: float, b: float, d: float, tol: float = DEFAULT_MARGIN_TOL) -> DomainVerdict:
     """Decide whether (a, b, d) lies in the quasi-Hermiticity domain.
 
     Inside means A >= -tol, A^2 - B >= -tol and B >= -tol; the margin is
@@ -85,11 +86,7 @@ def in_domain(
     A, B = reduced_AB(a, b, d)
     margin = min(A, A * A - B, B)
     return DomainVerdict(
-        inside=margin >= -tol,
-        A=A,
-        B=B,
-        margin=margin,
-        on_boundary=abs(margin) <= tol,
+        inside=margin >= -tol, A=A, B=B, margin=margin, on_boundary=abs(margin) <= tol
     )
 
 
@@ -113,57 +110,84 @@ def brentq(f, a, b, **kwargs):
     return scipy_brentq(f, a, b, **kwargs)
 
 
-def _circle_branch_roots(f) -> list[float]:
-    """Angles where f(theta) changes sign on [0, 2*pi), from 4096 samples."""
-    n_scan = 4096
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
-    vals = np.array([f(t) for t in thetas])
-    roots = []
-    for i in range(n_scan):
-        j = (i + 1) % n_scan
-        t0, t1 = thetas[i], thetas[i] + 2.0 * math.pi / n_scan
-        v0, v1 = vals[i], vals[j]
-        if v0 == 0.0:
-            roots.append(t0)
-        elif v0 * v1 < 0.0:
-            roots.append(brentq(f, t0, t1, xtol=1e-14))
+def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
+    """Real roots in [lo, hi] of the polynomial with ``coeffs`` (highest
+    power first), ascending.
+
+    Isolation by differentiation (Collins & Loos 1976): the real roots of
+    the derivative, found the same way down to a linear formula, cut
+    [lo, hi] into monotone pieces, and :func:`brentq` refines each piece
+    whose ends differ in sign; an exact zero at a piece end is reported
+    once.  Values are exact in integers, rounded once, so every sign is
+    right and each simple root is found once, however close to another;
+    a root of even multiplicity is found only as an exact zero.  Infinite
+    ends are clamped to Fujiwara's bound on the root moduli.
+    """
+    c = [float(x) for x in np.trim_zeros(np.asarray(coeffs, dtype=float), "f")]
+    if len(c) < 2:
+        return []
+    bound = 2.0 * max(abs(ck / c[0]) ** (1.0 / k) for k, ck in enumerate(c[1:], 1))
+    if not (math.isfinite(bound) and np.isfinite(c).all()):
+        raise FloatingPointError("polynomial coefficients or roots overflow")
+    lo, hi = max(lo, -bound), min(hi, bound)
+    if len(c) == 2:
+        return [x] if lo <= (x := -c[1] / c[0]) <= hi else []
+    ratios = [ck.as_integer_ratio() for ck in c]
+    unit = max(den for _, den in ratios)
+    ints = [num * (unit // den) for num, den in ratios]
+
+    def f(x: float) -> float:
+        # p(num/den) * unit * den^n by Horner in integers.
+        num, den = x.as_integer_ratio()
+        value, power = ints[0], 1
+        for m in ints[1:]:
+            power *= den
+            value = value * num + m * power
+        return value / (unit * power)
+
+    ends = [lo, *_real_roots(np.polyder(c), lo, hi), hi]
+    signs = [np.sign(f(x)) for x in ends]
+    roots: list[float] = []
+    for x0, x1, s0, s1 in zip(ends, ends[1:], signs, signs[1:]):
+        if s0 == 0.0 and x0 not in roots:
+            roots.append(x0)
+        elif s0 * s1 < 0.0:
+            # About 2,100 halvings close the widest float bracket.
+            roots.append(brentq(f, x0, x1, xtol=1e-300, maxiter=2200))
+    if signs[-1] == 0.0 and hi not in roots:
+        roots.append(hi)
     return roots
 
 
 def pmn_points(d2: float) -> list[PMNPoint]:
     """All PMN points in the a-b plane for a fixed d^2 in (0, 5).
 
-    Intersects the centered circle of radius sqrt(10 - 2 d^2) with each
-    hyperbola branch by a sign scan at 4096 angles, refined by brentq;
-    the list may be empty when the circle misses both hyperbolas.  There
-    are up to 8 points (8 for small d^2, e.g. d^2 = 0.1; 4 at
-    d^2 = 1.6), and the set is symmetric under (a, b) -> (-a, -b).
+    On the circle of radius r = sqrt(10 - 2 d^2), written rationally as
+    a = r (1 - u^2)/(1 + u^2), b = 2 r u/(1 + u^2), the hyperbola
+    d^2 = (b+3)(a-1) is the quartic
+    (3u^2 + 2ru + 3)((-r-1)u^2 + r - 1) - d^2 (1 + u^2)^2 = 0, whose real
+    roots :func:`_real_roots` isolates; its leading coefficient
+    -3(r+1) - d^2 never vanishes, so no point sits at u = inf.  The points
+    on d^2 = (b-3)(a+1) are the exact negations (-a, -b).  The circle
+    touches the hyperbolas at d^2 = (207 -+ 33 sqrt(33))/128 (0.1361674
+    and 3.0982076): there are 8 points below the first, 4 between them
+    and none above the second.  A point of tangency is reported only if
+    the quartic vanishes there in floating point.
     """
     if not 0.0 < d2 < 5.0:
         raise ValueError("d2 must lie in (0, 5)")
     r = math.sqrt(10.0 - 2.0 * d2)
     d = math.sqrt(d2)
-
-    def factor(theta: float, which: int) -> float:
-        a, b = r * math.cos(theta), r * math.sin(theta)
-        return d2 - hyperbola_factors(a, b)[which]
-
+    quartic = np.polysub(
+        np.polymul([3.0, 2.0 * r, 3.0], [-r - 1.0, 0.0, r - 1.0]),
+        [d2, 0.0, 2.0 * d2, 0.0, d2],
+    )
     points = []
-    for which in (0, 1):
-        for theta in _circle_branch_roots(lambda t: factor(t, which)):
-            a, b = r * math.cos(theta), r * math.sin(theta)
-            points.append(
-                PMNPoint(
-                    a=a,
-                    b=b,
-                    d=d,
-                    residuals=(
-                        a * a + b * b + 2.0 * d2 - 10.0,
-                        0.0,
-                        constant_term(a, b, d, d),
-                    ),
-                )
-            )
+    for u in _real_roots(quartic, -math.inf, math.inf):
+        a, b = r * (1.0 - u * u) / (1.0 + u * u), 2.0 * r * u / (1.0 + u * u)
+        for a, b in ((a, b), (-a, -b)):
+            residuals = (a * a + b * b + 2.0 * d2 - 10.0, 0.0, constant_term(a, b, d, d))
+            points.append(PMNPoint(a=a, b=b, d=d, residuals=residuals))
     return sorted(points, key=lambda p: (p.a, p.b))
 
 
@@ -194,17 +218,11 @@ def boundary_trace_ray(
         raise BoundaryTraceError("ray center lies outside the domain")
 
     # Bracket the first sign change by outward marching.
-    step, t_lo = 0.25, 0.0
-    t_hi = None
-    t = step
-    while t <= 100.0:
-        if margin(t) < 0.0:
-            t_hi = t
-            break
-        t_lo = t
-        t += step
-    if t_hi is None:
-        raise BoundaryTraceError("no boundary crossing within ray length")
+    t_lo, t_hi = 0.0, 0.25
+    while not margin(t_hi) < 0.0:
+        t_lo, t_hi = t_hi, t_hi + 0.25
+        if t_hi > 100.0:
+            raise BoundaryTraceError("no boundary crossing within ray length")
 
     for _ in range(BISECTION_MAX_STEPS):
         t_mid = 0.5 * (t_lo + t_hi)
@@ -212,10 +230,7 @@ def boundary_trace_ray(
         if abs(m) <= tol:
             t_lo = t_hi = t_mid
             break
-        if m < 0.0:
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
+        t_lo, t_hi = (t_lo, t_mid) if m < 0.0 else (t_mid, t_hi)
     t_star = 0.5 * (t_lo + t_hi)
     return (a0 + t_star * dx, b0 + t_star * dy)
 
@@ -259,13 +274,8 @@ def _hyperbola_polyline(center: tuple[float, float], d2: float) -> list[np.ndarr
     with |u| geometric from d2/18 to 8.
     """
     a0, b0 = center
-    branches = []
-    for s in (1.0, -1.0):
-        u = s * np.geomspace(d2 / 18.0, 8.0, 400)
-        a = a0 + u
-        b = b0 + d2 / u
-        branches.append(np.column_stack([a, b]))
-    return branches
+    u = np.geomspace(d2 / 18.0, 8.0, 400)
+    return [np.column_stack([a0 + s * u, b0 + d2 / (s * u)]) for s in (1.0, -1.0)]
 
 
 def figure1_geometry(d2: float) -> dict:
@@ -273,28 +283,16 @@ def figure1_geometry(d2: float) -> dict:
 
     Returns the circle radius sqrt(10 - 2 d^2), 400-point polylines of
     each branch of the two hyperbola loci d^2 = (b+3)(a-1) and
-    d^2 = (b-3)(a+1) (centers (-1, 3) and (1, -3)), and the
-    circle-hyperbola intersections.
+    d^2 = (b-3)(a+1) (asymptotes crossing at (1, -3) and (-1, 3)), and
+    the circle-hyperbola intersections, which are :func:`pmn_points`.
     """
-    if not 0.0 < d2 < 5.0:
-        raise ValueError("d2 must lie in (0, 5)")
-    radius = math.sqrt(10.0 - 2.0 * d2)
-    # d^2 = (b+3)(a-1) has asymptote crossing (1, -3); d^2 = (b-3)(a+1)
-    # has (-1, 3).
+    intersections = pmn_points(d2)
     hyperbolas = [
-        {
-            "locus": "alpha_hyp",
-            "center": (1.0, -3.0),
-            "branches": _hyperbola_polyline((1.0, -3.0), d2),
-        },
-        {
-            "locus": "beta_hyp",
-            "center": (-1.0, 3.0),
-            "branches": _hyperbola_polyline((-1.0, 3.0), d2),
-        },
+        {"locus": locus, "center": center, "branches": _hyperbola_polyline(center, d2)}
+        for locus, center in (("alpha_hyp", (1.0, -3.0)), ("beta_hyp", (-1.0, 3.0)))
     ]
     return {
-        "circle_radius": radius,
+        "circle_radius": math.sqrt(10.0 - 2.0 * d2),
         "hyperbolas": hyperbolas,
-        "intersections": pmn_points(d2),
+        "intersections": intersections,
     }

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quasih.domain import in_domain
+from quasih.domain import _real_roots, in_domain
 from quasih.model import _require_finite, build_alpha
 from quasih.spectrum import band_closed_energies, numeric_energies
 
@@ -206,7 +206,8 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
         g = 2x + s^2 - 2 coef_c,   h = 4 - 2t - 2ts + t^2 s^2 - 2t^2 x,
 
     and A^2 - B = t^2 (p^2 - 9gh).  The edges are the nearest real roots
-    of g, h, p and p^2 - 9gh below and above coef_c (which is inside);
+    of g, h, p and p^2 - 9gh below and above coef_c (which is inside),
+    found by :func:`quasih.domain._real_roots`, which loads scipy.optimize;
     without the powers of t they stay well conditioned as t -> 0.  The
     lower edge, the root of g, is coef_c - 1/2 - coef_c t - coef_c^2 t^2 / 2;
     the upper one is coef_c + 8/9 + (16 coef_c / 9 + 80/81) t + O(t^2).
@@ -222,6 +223,5 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
     g = [2.0, s * s - 2.0 * coef_c]
     h = [-2.0 * t * t, 4.0 - 2.0 * t - 2.0 * t * s + t * t * s * s]
     quartic = np.polysub(np.polymul(p, p), 9.0 * np.polymul(g, h))
-    roots = np.concatenate([np.roots(f) for f in (g, h, p, quartic)])
-    real = roots.real[np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots.real))]
-    return float(real[real < coef_c].max()), float(real[real > coef_c].min())
+    roots = [x for f in (g, h, p, quartic) for x in _real_roots(f, -math.inf, math.inf)]
+    return max(x for x in roots if x < coef_c), min(x for x in roots if x > coef_c)

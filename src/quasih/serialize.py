@@ -43,8 +43,9 @@ def _json_default(obj):
 
 
 def json_dumps(obj) -> str:
-    """Deterministic JSON text; floats are their shortest repr, which is exact."""
-    return json.dumps(obj, indent=2, default=_json_default) + "\n"
+    """Deterministic JSON text; floats are their shortest repr, which is
+    exact, and inf or nan, which JSON lacks, raise ValueError."""
+    return json.dumps(obj, indent=2, default=_json_default, allow_nan=False) + "\n"
 
 
 def matrix_to_json_dict(m: np.ndarray) -> dict:

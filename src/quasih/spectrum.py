@@ -139,5 +139,9 @@ def quartic_energies(
 
 
 def numeric_energies(h: np.ndarray, tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
-    """Eigenvalues of a real square matrix as a classified spectrum."""
-    return spectrum_from_roots(np.linalg.eigvals(_finite_square(h, MAX_DIM)), tol)
+    """Eigenvalues of a real square matrix as a classified spectrum;
+    RuntimeError if one overflows, as at entries near 1e308."""
+    roots = np.linalg.eigvals(_finite_square(h, MAX_DIM))
+    if not np.all(np.isfinite(roots)):
+        raise RuntimeError("eigenvalues overflow the float range")
+    return spectrum_from_roots(roots, tol)

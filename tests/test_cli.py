@@ -39,6 +39,20 @@ def test_spectrum_band_vs_alpha_isospectral(capsys):
     assert band == pytest.approx(alpha, abs=1e-9)
 
 
+def test_spectrum_whose_eigenvalues_overflow_is_a_numerical_failure(capsys):
+    # It exited 0 and printed "max_imag": Infinity, which is not JSON.
+    assert main(["spectrum", "--full", "1e308", "1e308", "1e308", "1e308"]) == 1
+    assert capsys.readouterr() == ("", "error: eigenvalues overflow the float range\n")
+
+
+def test_spectrum_of_huge_finite_couplings_is_unchanged(capsys):
+    code, out = run(capsys, "spectrum", "--full", "1e307", "1e307", "1e307", "1e307")
+    assert code == 0
+    assert json.loads(out)["max_imag"] == 1.9999999999999995e307
+    digest = "f535c8e49c5a66ccac376eb260b2f7515d086a70832a004795519092a708fe2b"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_spectrum_requires_exactly_one_model(capsys):
     assert main(["spectrum"]) == 2
     assert main(["spectrum", "--alpha", "0.1", "--two-state", "0.5"]) == 2
@@ -86,6 +100,12 @@ def test_scan_rejects_negative_d2(capsys):
     code = main(["scan", "--d2", "-1"])
     assert code == 2
     assert capsys.readouterr().err == "error: d2 must be non-negative\n"
+
+
+def test_scan_whose_margins_overflow_is_a_usage_error(capsys):
+    # It printed three warnings and rows with margin nan and inside 0, and exited 0.
+    assert main(["scan", "--d2", "1e200", "--res", "2x2"]) == 2
+    assert capsys.readouterr() == ("", "error: overflow encountered in multiply\n")
 
 
 @pytest.mark.parametrize("res", ["20000x20000", "2001x2000", "1x4000001"])

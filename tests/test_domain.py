@@ -1,5 +1,8 @@
+import functools
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +22,7 @@ from quasih import (
     reduced_AB,
     scan_grid,
 )
-from quasih.domain import DEFAULT_MARGIN_TOL, BoundaryTraceError
+from quasih.domain import DEFAULT_MARGIN_TOL, BoundaryTraceError, _real_roots
 from quasih.serialize import csv_rows, grid_csv
 
 finite4 = st.floats(min_value=-4, max_value=4, allow_nan=False)
@@ -125,14 +128,124 @@ def test_pmn_count_matches_angular_sign_scan():
 
 
 def test_pmn_counts_and_mirror_symmetry():
+    # The mirror pair of 1.6 was (1.3042950014883101, ...) and
+    # (-1.3042950014883095, ...): each hyperbola was searched on its own.
     for d2 in (0.5, 1.6, 3.0, 4.9):
         points = pmn_points(d2)
         assert len(points) in (0, 2, 4)
-        for p in points:
-            mirror = min(
-                math.hypot(q.a + p.a, q.b + p.b) for q in points
-            )
-            assert mirror < 1e-9
+        coords = {(p.a, p.b) for p in points}
+        assert {(-a, -b) for a, b in coords} == coords
+
+
+def exact_product(*factors) -> list[float]:
+    """Coefficients of a product of polynomials with dyadic coefficients,
+    checked to be exact in floating point."""
+    coeffs = functools.reduce(np.polymul, (np.array(f, dtype=object) for f in factors))
+    assert all(isinstance(c, Fraction) for c in coeffs)
+    floats = [float(c) for c in coeffs]
+    assert [Fraction(f) for f in floats] == list(coeffs)
+    return floats
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["separated", "close pair", "complex pair", "double root"]),
+    eighths=st.lists(st.integers(-16, 16).filter(bool), min_size=4, max_size=4, unique=True),
+    lead=st.sampled_from([Fraction(-8), Fraction(-1), Fraction(1, 4), Fraction(1), Fraction(32)]),
+)
+def test_real_roots_of_quartics_built_from_known_roots(kind, eighths, lead):
+    # Roots are multiples of 1/8 in [-2, 2], the close pair is 2^-20 (9.5e-7)
+    # apart, and every coefficient is exact, so these are the true roots.
+    x, y, z, w = (Fraction(k, 8) for k in eighths)
+    if kind == "separated":
+        simple, factors = [x, y, z, w], []
+    elif kind == "close pair":
+        simple, factors = [x, x + Fraction(1, 2**20), y, z], []
+    elif kind == "complex pair":
+        simple, factors = [x, y], [[1, -2 * z, z * z + w * w]]
+    else:
+        simple, factors = [y, z], [[1, -2 * x, x * x]]
+    coeffs = exact_product([lead], *([1, -r] for r in simple), *factors)
+    roots = _real_roots(coeffs, -math.inf, math.inf)
+    if kind == "double root":
+        at_double = [r for r in roots if abs(r - x) < 1e-6]
+        assert len(at_double) <= 1
+        roots = [r for r in roots if abs(r - x) >= 1e-6]
+    assert len(roots) == len(simple)
+    for got, want in zip(roots, sorted(simple)):
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_real_roots_refuse_roots_beyond_the_float_range():
+    with pytest.raises(FloatingPointError):
+        _real_roots([1e-300, 1e300, 1.0], -math.inf, math.inf)
+
+
+#: Where the circle a^2 + b^2 = 10 - 2 d^2 touches the hyperbolas:
+#: d^2 = (207 -+ 33 sqrt(33))/128, correctly rounded.
+D2_MINUS = 0.1361674426894145
+D2_PLUS = 3.0982075573105856
+
+
+def test_tangency_literals_are_the_closed_form():
+    with mpmath.workdps(50):
+        for literal, sign in ((D2_MINUS, -1), (D2_PLUS, 1)):
+            exact = (207 + sign * 33 * mpmath.sqrt(33)) / 128
+            assert abs(literal - exact) <= 0.5 * math.ulp(literal)
+
+
+@pytest.mark.parametrize(
+    "d2, count",
+    [
+        # The sign scan at 4096 angles found 4 at both points below D2_MINUS.
+        (D2_MINUS * (1 - 1e-9), 8),
+        (D2_MINUS * (1 - 1e-6), 8),
+        (D2_MINUS * (1 + 1e-6), 4),
+        (D2_PLUS * (1 - 1e-6), 4),
+        (D2_PLUS * (1 + 1e-6), 0),
+    ],
+)
+def test_pmn_count_on_each_side_of_the_tangencies(d2, count):
+    assert len(pmn_points(d2)) == count
+
+
+def mp_pmn_points(d2: float) -> list:
+    """PMN points at 50 digits, from the quartic in a that the hyperbola
+    b = d^2/(a - 1) - 3 makes of the circle, and their mirror images."""
+    with mpmath.workdps(50):
+        d2 = mpmath.mpf(d2)
+        # a^2 (a-1)^2 + (d^2 - 3(a-1))^2 - (10 - 2 d^2)(a-1)^2 = 0
+        coeffs = [1, -2, 2 * d2, 2 - 10 * d2, d2 * d2 + 8 * d2 - 1]
+        points = []
+        for a in mpmath.polyroots(coeffs, maxsteps=200, extraprec=200):
+            if abs(mpmath.im(a)) < mpmath.mpf(10) ** -40:
+                a = mpmath.re(a)
+                b = d2 / (a - 1) - 3
+                points += [(a, b), (-a, -b)]
+        return sorted(points)
+
+
+def assert_pmn_points_match_mpmath(d2: float, tol: float):
+    got = pmn_points(d2)
+    want = mp_pmn_points(d2)
+    assert len(got) == len(want)
+    for p, (a, b) in zip(got, want):
+        assert abs(p.a - a) <= tol and abs(p.b - b) <= tol
+
+
+def test_pmn_points_match_50_digit_roots():
+    rng = np.random.default_rng(20070303)
+    checked = 0
+    for d2 in rng.uniform(0.01, 3.09, 60):
+        if min(abs(d2 - t) / t for t in (D2_MINUS, D2_PLUS)) >= 1e-3:
+            assert_pmn_points_match_mpmath(float(d2), 1e-13)
+            checked += 1
+    assert checked >= 55
+
+
+@pytest.mark.parametrize("offset", [1e-9, 1e-6])
+def test_pmn_points_below_the_tangency_match_50_digit_roots(offset):
+    assert_pmn_points_match_mpmath(D2_MINUS * (1 - offset), 1e-9)
 
 
 @pytest.mark.parametrize("d2, count", [(0.05, 8), (0.1, 8), (1.6, 4)])

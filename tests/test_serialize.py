@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -53,3 +54,10 @@ def test_json_complex_is_a_pair_and_matrices_are_rows():
 def test_json_rejects_other_objects():
     with pytest.raises(TypeError, match="object is not JSON serializable"):
         json_dumps({"x": object()})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_never_holds_infinity_or_nan(value):
+    # json.dumps writes them as Infinity and NaN, which JSON does not have.
+    with pytest.raises(ValueError):
+        json_dumps({"max_imag": value})
