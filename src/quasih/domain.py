@@ -102,12 +102,59 @@ def in_domain_rotated(sigma: float, delta: float, d: float) -> bool:
     return (2.0 + sigma * delta) ** 2 >= d * d * (4.0 - sigma * sigma)
 
 
-def brentq(f, a, b, **kwargs):
-    """scipy.optimize.brentq, imported on first use: the module takes
-    longer to import than a grid scan takes to run."""
-    from scipy.optimize import brentq as scipy_brentq
+def brentq(f, a, b) -> float:
+    """Root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent 1973, ch. 4).
 
-    return scipy_brentq(f, a, b, **kwargs)
+    It takes the steps of scipy.optimize.brentq(f, a, b, xtol=1e-300,
+    maxiter=2200) bit for bit: the same bracket updates, the same order of
+    floating-point operations.  The tolerances make it stop only when the
+    bracket is a few ulps wide; about 2,100 halvings close the widest float
+    bracket, and a RuntimeError is raised past 2,200 steps.  f must return
+    finite floats.
+    """
+    xtol, rtol = 1e-300, 4.0 * math.ulp(1.0)
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # Signs are compared, as C's signbit does, never by the product fpre * fcur,
+    # which underflows to 0 for tiny values.
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(2200):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # C gets inf or nan, which fails the test below, as inf does
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Failed to converge after 2200 iterations, value is {xcur}")
 
 
 def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
@@ -152,8 +199,7 @@ def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
         if s0 == 0.0 and x0 not in roots:
             roots.append(x0)
         elif s0 * s1 < 0.0:
-            # About 2,100 halvings close the widest float bracket.
-            roots.append(brentq(f, x0, x1, xtol=1e-300, maxiter=2200))
+            roots.append(brentq(f, x0, x1))
     if signs[-1] == 0.0 and hi not in roots:
         roots.append(hi)
     return roots

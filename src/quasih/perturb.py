@@ -94,10 +94,15 @@ def _series(alpha: float, base: float, coeffs: dict, order: int) -> float:
         raise ValueError(f"order must be one of {SERIES_ORDERS}")
     _require_finite(alpha=alpha)
     value = base
-    for k in SERIES_ORDERS:
-        if k > order:
-            break
-        value += coeffs[k] * alpha**k
+    try:
+        for k in SERIES_ORDERS:
+            if k > order:
+                break
+            value += coeffs[k] * alpha**k
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"alpha={alpha} overflows the order-{order} series")
     return value
 
 
@@ -207,8 +212,9 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
 
     and A^2 - B = t^2 (p^2 - 9gh).  The edges are the nearest real roots
     of g, h, p and p^2 - 9gh below and above coef_c (which is inside),
-    found by :func:`quasih.domain._real_roots`, which loads scipy.optimize;
-    without the powers of t they stay well conditioned as t -> 0.  The
+    found by :func:`quasih.domain._real_roots`; without the powers of t
+    they stay well conditioned as t -> 0.  At coef_c t = -1 the interval
+    is the single point coef_c, where g, p and p^2 - 9gh vanish.  The
     lower edge, the root of g, is coef_c - 1/2 - coef_c t - coef_c^2 t^2 / 2;
     the upper one is coef_c + 8/9 + (16 coef_c / 9 + 80/81) t + O(t^2).
     """
@@ -222,6 +228,17 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
     p = [-2.0 * t**3, 4.0 * t * (1.0 - t), 4.0 - 2.0 * t + 6.0 * s - 3.0 * t * s * s]
     g = [2.0, s * s - 2.0 * coef_c]
     h = [-2.0 * t * t, 4.0 - 2.0 * t - 2.0 * t * s + t * t * s * s]
-    quartic = np.polysub(np.polymul(p, p), 9.0 * np.polymul(g, h))
+    gh = np.polymul(g, h)
+    quartic = np.polysub(np.polymul(p, p), 9.0 * gh)
     roots = [x for f in (g, h, p, quartic) for x in _real_roots(f, -math.inf, math.inf)]
-    return max(x for x in roots if x < coef_c), min(x for x in roots if x > coef_c)
+    below = [x for x in roots if x < coef_c]
+    above = [x for x in roots if x > coef_c]
+    if coef_c in roots:
+        # A root at coef_c bounds the side where the margin turns negative.  No
+        # factor changes sign between coef_c and the next root, so a sample
+        # halfway there tells; past the last root any point does.
+        for side, nearest, step in ((below, max, -1.0), (above, min, 1.0)):
+            x = (coef_c + nearest(side, default=coef_c + step)) / 2
+            if min(np.polyval(f, x) for f in (p, quartic, gh)) < 0.0:
+                side.append(coef_c)
+    return max(below), min(above)

@@ -500,6 +500,22 @@ def test_perturb_series_requires_alpha_and_order(capsys):
     assert capsys.readouterr().err == "error: --series needs --alpha and --order\n"
 
 
+@pytest.mark.parametrize(
+    "series, order, alpha",
+    [
+        # alpha**k raised OverflowError: a traceback and exit 1.
+        ("e3", "6", "1e100"),
+        ("e1", "2", "1e200"),
+        # alpha**6 is finite but -7/6 alpha**6 is -inf.
+        ("e3", "6", "2.36e51"),
+    ],
+)
+def test_perturb_series_that_overflows_is_a_usage_error(series, order, alpha, capsys):
+    assert main(["perturb", "--series", series, "--order", order, "--alpha", alpha]) == 2
+    err = f"error: alpha={float(alpha)} overflows the order-{order} series\n"
+    assert capsys.readouterr() == ("", err)
+
+
 def test_perturb_spike(capsys):
     code, out = run(capsys, "perturb", "--spike", "0.3", "0.3", "0.02")
     assert code == 0

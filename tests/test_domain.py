@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -21,8 +22,10 @@ from quasih import (
     quartic_energies,
     reduced_AB,
     scan_grid,
+    spike_band_edges,
 )
-from quasih.domain import DEFAULT_MARGIN_TOL, BoundaryTraceError, _real_roots
+import quasih.domain
+from quasih.domain import DEFAULT_MARGIN_TOL, BoundaryTraceError, _real_roots, brentq
 from quasih.serialize import csv_rows, grid_csv
 
 finite4 = st.floats(min_value=-4, max_value=4, allow_nan=False)
@@ -179,6 +182,67 @@ def test_real_roots_of_quartics_built_from_known_roots(kind, eighths, lead):
 def test_real_roots_refuse_roots_beyond_the_float_range():
     with pytest.raises(FloatingPointError):
         _real_roots([1e-300, 1e300, 1.0], -math.inf, math.inf)
+
+
+def brentq_brackets(source: str, rng: random.Random) -> list:
+    """The (f, a, b) that quasih hands to brentq on one seeded input.
+
+    "pmn", "spike" and "quartic" record what _real_roots passes, with its
+    exact-integer f; "near double" is a plain float polynomial with roots
+    2^-40 ... 2^-1 apart, bracketed around the lower one.
+    """
+    if source == "near double":
+        r, e, lead = rng.uniform(-3, 3), 2.0 ** -rng.randint(1, 40), rng.choice([-8.0, 1.0])
+        return [(lambda x: lead * (x - r) * (x - r - e) * (x * x + 1.0), r - rng.random(), r + e / 2)]
+    calls = []
+
+    def record(f, a, b):
+        calls.append((f, a, b))
+        return brentq(f, a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quasih.domain, "brentq", record)
+        if source == "pmn":
+            pmn_points(rng.uniform(0.01, 4.99))
+        elif source == "spike":
+            spike_band_edges(rng.uniform(-2.0, 2.0), rng.uniform(1e-4, 0.5))
+        else:
+            r = rng.uniform(-3, 3)
+            close = [r, r + 2.0 ** -rng.randint(1, 20)]
+            _real_roots(np.poly(close + [rng.uniform(-3, 3) for _ in range(2)]), -math.inf, math.inf)
+    return calls
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    source=st.sampled_from(["pmn", "spike", "quartic", "near double"]),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 150),
+)
+def test_brentq_takes_scipys_steps_bit_for_bit(source, seed, exponent):
+    # Scaled by 1e-300, f's values are subnormal: a product of two of them
+    # underflows, and equal values make the interpolation divide by zero.
+    from scipy.optimize import brentq as scipy_brentq
+
+    scale = 10.0**exponent
+    for f, a, b in brentq_brackets(source, random.Random(seed)):
+        for g in (f, lambda x, f=f: f(x) * scale):
+            want = scipy_brentq(g, a, b, xtol=1e-300, maxiter=2200)
+            assert brentq(g, a, b).hex() == want.hex()
+
+
+def test_brentq_raises_past_its_step_limit_and_without_a_sign_change():
+    from scipy.optimize import brentq as scipy_brentq
+
+    # b - a overflows to inf, so the bracket never closes.
+    def cbrt(x):
+        return math.copysign(abs(x) ** (1 / 3), x)
+
+    for solver in (brentq, functools.partial(scipy_brentq, xtol=1e-300, maxiter=2200)):
+        with pytest.raises(RuntimeError, match="after 2200 iterations"):
+            solver(cbrt, -1e308, 1.7e308)
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 #: Where the circle a^2 + b^2 = 10 - 2 d^2 touches the hyperbolas:

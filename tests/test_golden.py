@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import quasih
-from quasih.cli import main
+from quasih.cli import build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -74,27 +74,29 @@ def test_scan_out_file_and_sidecar_match_golden(tmp_path):
         assert Path(f"{out}.meta.json").read_text() == (GOLDEN / f"{name}.meta.json").read_text()
 
 
-# A scan needs no scipy.optimize; pmn then loads it on first use.
+# No subcommand needs scipy: with every import of it made to fail, each one
+# still prints its golden, and no scipy module is left loaded.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
-import quasih, quasih.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert quasih.cli.main(["scan", "--d2", "1", "--res", "3x3"]) == 0
-after_scan = "scipy.optimize" in sys.modules
-pmn = io.StringIO()
-with contextlib.redirect_stdout(pmn):
-    assert quasih.cli.main(["pmn", "--d2", "1.6"]) == 0
-print(json.dumps({"after_scan": after_scan, "after_pmn": "scipy.optimize" in sys.modules,
-                  "pmn": pmn.getvalue()}))
+sys.modules["scipy"] = None
+import quasih.cli
+outputs = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert quasih.cli.main(argv) == 0, argv
+    outputs[name] = out.getvalue()
+scipy = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
+print(json.dumps({"outputs": outputs, "scipy": scipy}))
 """
 
 
-def run_probe(code: str) -> dict:
-    """The JSON that code prints when run in a fresh interpreter."""
+def run_probe(code: str, *args: str) -> dict:
+    """The JSON that code prints when run with args in a fresh interpreter."""
     src = str(Path(quasih.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -103,30 +105,8 @@ def run_probe(code: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_scan_does_not_import_scipy_optimize():
-    report = run_probe(IMPORT_PROBE)
-    assert not report["after_scan"]
-    assert report["after_pmn"]
-    assert report["pmn"] == (GOLDEN / "pmn_d2_1.6.json").read_text()
-
-
-# The positivity polish is quasih's own Nelder-Mead: no scipy module at all.
-METRIC_PROBE = """
-import contextlib, io, json, sys
-import quasih.cli
-report = []
-for argv in (["metric", "--alpha", "0.3", "--basis", "--positivity"],
-             ["metric", "--profile", "0.05:0.6:5"]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert quasih.cli.main(argv) == 0
-    report.append([out.getvalue(), sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
-print(json.dumps(report))
-"""
-
-
-def test_metric_certificate_and_profile_do_not_import_scipy():
-    (positivity, after_positivity), (profile, after_profile) = run_probe(METRIC_PROBE)
-    assert after_positivity == after_profile == []
-    assert positivity == (GOLDEN / "metric_alpha_0.3_basis_positivity.json").read_text()
-    assert profile == (GOLDEN / "metric_profile_0.05_0.6_5.csv").read_text()
+def test_every_subcommand_prints_its_golden_without_scipy():
+    assert {argv[0] for argv in CASES.values()} == set(build_parser().subcommands)
+    report = run_probe(IMPORT_PROBE, json.dumps(CASES))
+    assert report["scipy"] == []
+    assert report["outputs"] == {name: (GOLDEN / name).read_text() for name in CASES}

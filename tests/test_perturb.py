@@ -193,6 +193,17 @@ def _mp_margin(coef_c, t, coef_a):
     return min(A, A * A - B, B)
 
 
+@pytest.mark.parametrize("coef_c, t", [(-0.5, 2.0), (-1.0, 1.0), (-0.25, 4.0)])
+def test_spike_edges_where_the_interval_is_one_point(coef_c, t):
+    # At coef_c t = -1 the roots of g, p and p^2 - 9gh all fall on coef_c,
+    # which was neither below nor above itself: max() of an empty sequence.
+    assert spike_band_edges(coef_c, t) == (coef_c, coef_c)
+    with mpmath.workdps(50):
+        assert _mp_margin(coef_c, t, mpmath.mpf(coef_c)) == 0
+        for outside in (coef_c - 1e-6, coef_c + 1e-6):
+            assert _mp_margin(coef_c, t, mpmath.mpf(outside)) < -1e-5
+
+
 @pytest.mark.parametrize("coef_c", [0.3, -0.6, 0.0, 0.75])
 @pytest.mark.parametrize("t", [0.2, 0.05, 0.02, 0.005, 0.001])
 def test_spike_edges_match_50_digit_roots(coef_c, t):
