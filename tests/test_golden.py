@@ -110,3 +110,48 @@ def test_every_subcommand_prints_its_golden_without_scipy():
     report = run_probe(IMPORT_PROBE, json.dumps(CASES))
     assert report["scipy"] == []
     assert report["outputs"] == {name: (GOLDEN / name).read_text() for name in CASES}
+
+
+# A scan and then pmn, in the same fresh interpreter: neither loads
+# scipy.optimize, and pmn still prints its golden.
+SCAN_PROBE = """
+import contextlib, io, json, sys
+import quasih, quasih.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert quasih.cli.main(["scan", "--d2", "1", "--res", "3x3"]) == 0
+after_scan = "scipy.optimize" in sys.modules
+pmn = io.StringIO()
+with contextlib.redirect_stdout(pmn):
+    assert quasih.cli.main(["pmn", "--d2", "1.6"]) == 0
+print(json.dumps({"after_scan": after_scan, "after_pmn": "scipy.optimize" in sys.modules,
+                  "pmn": pmn.getvalue()}))
+"""
+
+
+def test_scan_does_not_import_scipy_optimize():
+    report = run_probe(SCAN_PROBE)
+    assert not report["after_scan"]
+    assert not report["after_pmn"]
+    assert report["pmn"] == (GOLDEN / "pmn_d2_1.6.json").read_text()
+
+
+# The positivity polish is quasih's own Nelder-Mead: no scipy module at all.
+METRIC_PROBE = """
+import contextlib, io, json, sys
+import quasih.cli
+report = []
+for argv in (["metric", "--alpha", "0.3", "--basis", "--positivity"],
+             ["metric", "--profile", "0.05:0.6:5"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert quasih.cli.main(argv) == 0
+    report.append([out.getvalue(), sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(report))
+"""
+
+
+def test_metric_certificate_and_profile_do_not_import_scipy():
+    (positivity, after_positivity), (profile, after_profile) = run_probe(METRIC_PROBE)
+    assert after_positivity == after_profile == []
+    assert positivity == (GOLDEN / "metric_alpha_0.3_basis_positivity.json").read_text()
+    assert profile == (GOLDEN / "metric_profile_0.05_0.6_5.csv").read_text()
