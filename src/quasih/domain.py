@@ -8,8 +8,8 @@ all four energies merge at zero, are the intersections of the circle
 a^2 + b^2 = 10 - 2 d^2 with the two hyperbolas d^2 = (b+3)(a-1) and
 d^2 = (b-3)(a+1).  They are the real roots of one quartic, which
 :func:`_real_roots` isolates between the real roots of its derivatives
-and refines with :func:`brentq`; the spike edges in :mod:`quasih.perturb`
-are found the same way.
+and refines with :func:`brentq`, which also refines the spike edges in
+:mod:`quasih.perturb` and the exit that a boundary ray's march brackets.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from quasih.secular import _reduced_AB, constant_term, reduced_AB
 
 #: Default absolute tolerance on the membership margin.
 DEFAULT_MARGIN_TOL = 1e-9
-
-#: Hard cap on bisection steps in boundary tracing.
-BISECTION_MAX_STEPS = 200
 
 
 class BoundaryTraceError(RuntimeError):
@@ -246,12 +243,14 @@ def boundary_trace_ray(
     """First boundary crossing along a ray from an interior point.
 
     Marches outward in steps of 0.25 until the membership margin changes
-    sign, then bisects (at most ``BISECTION_MAX_STEPS`` steps) to
-    |margin| <= tol.  Raises :class:`BoundaryTraceError` if the center is
-    not inside or no sign change occurs within length 100.
+    sign and refines that bracket with :func:`brentq`.  ``tol`` only admits
+    the center: one up to ``tol`` outside is its own crossing if the first
+    step is outside too.  Raises :class:`BoundaryTraceError` if the center
+    lies further out or no sign change occurs within length 100.
     """
     a0, b0 = center
     dx, dy = direction
+    _require_finite(dx=dx, dy=dy)
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         raise ValueError("direction must be non-zero")
@@ -260,7 +259,8 @@ def boundary_trace_ray(
     def margin(t: float) -> float:
         return in_domain(a0 + t * dx, b0 + t * dy, d, tol).margin
 
-    if margin(0.0) < -tol:
+    m0 = margin(0.0)
+    if m0 < -tol:
         raise BoundaryTraceError("ray center lies outside the domain")
 
     # Bracket the first sign change by outward marching.
@@ -270,14 +270,7 @@ def boundary_trace_ray(
         if t_hi > 100.0:
             raise BoundaryTraceError("no boundary crossing within ray length")
 
-    for _ in range(BISECTION_MAX_STEPS):
-        t_mid = 0.5 * (t_lo + t_hi)
-        m = margin(t_mid)
-        if abs(m) <= tol:
-            t_lo = t_hi = t_mid
-            break
-        t_lo, t_hi = (t_lo, t_mid) if m < 0.0 else (t_mid, t_hi)
-    t_star = 0.5 * (t_lo + t_hi)
+    t_star = 0.0 if t_lo == 0.0 and m0 < 0.0 else brentq(margin, t_lo, t_hi)
     return (a0 + t_star * dx, b0 + t_star * dy)
 
 

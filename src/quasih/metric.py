@@ -90,12 +90,14 @@ def metric_nullspace(h: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Metri
     The map Theta -> H^T Theta - Theta H is assembled over the
     n(n+1)/2-dimensional symmetric sector and its nullspace is taken at
     singular values below rank_tol * sigma_max.  Near the domain
-    boundary the nullspace is ill-conditioned, hence the exposed
-    threshold.  The map and the residual use H scaled by a power of two
+    boundary the nullspace is ill-conditioned, hence the threshold
+    (below 1).  The map and the residual use H scaled by a power of two
     to largest entry in [1/2, 1): exact, as the equation is homogeneous.
     """
     h = _finite_square(h, MAX_NULLSPACE_DIM)
     _require_positive(rank_tol=rank_tol)
+    if rank_tol >= 1.0:
+        raise ValueError(f"rank_tol must be below 1, got {rank_tol!r}")
 
     scaled = np.ldexp(h, -math.frexp(np.max(np.abs(h)))[1])
     stack = _sym_basis(len(h))
@@ -250,7 +252,8 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
     definite for an all-real spectrum (positive semidefinite for a mixed
     one); it and the signed basis elements seed a Nelder-Mead polish of
     the normalized smallest eigenvalue (:func:`minimize`, quasih's own,
-    step for step scipy's).  When any eigenvalue is non-real
+    step for step scipy's), run once more from unit scale if it stalls at
+    its iteration limit.  When any eigenvalue is non-real
     no positive Theta exists, so there is no polish: the certificate is
     the best of these starts, not positive (about 0 for a mixed spectrum,
     a basis element's ratio for an all-complex one).
@@ -286,6 +289,9 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
     # is reported as it is: the polish could not change the verdict.
     if real.all():
         res = minimize(objective, best_coeffs)
+        if res.status == 2:
+            # The objective ignores scale: stalled coefficients outgrow the absolute xatol.
+            res = minimize(objective, res.x / np.max(np.abs(res.x)))
         if -res.fun > best_min:
             m, sign = _signed_min_eig(_candidate(stack, res.x))
             best_min, best_coeffs = m, sign * res.x

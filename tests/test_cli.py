@@ -419,12 +419,33 @@ def test_boundary_success_and_failure(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["a"] == pytest.approx(3.25 / 3.0, abs=1e-6)
+    assert abs(doc["a"] - 13.0 / 12.0) <= math.ulp(13.0 / 12.0)
     # center outside the domain: numerical failure, exit 1
     code, _ = run(
         capsys, "boundary", "--center", "0", "0", "--direction", "1", "0", "--d", "3"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "direction, message",
+    [
+        (["inf", "0"], "dx must be finite, got inf"),
+        (["1", "-inf"], "dy must be finite, got -inf"),
+        (["nan", "1"], "dx must be finite, got nan"),
+    ],
+)
+def test_boundary_non_finite_direction_names_its_component(capsys, direction, message):
+    # The unit direction came out as nan, and the error blamed a or b.
+    argv = ["boundary", "--center", "0", "0", "--direction", *direction, "--d", "0.5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_metric_rank_tol_of_one_is_a_usage_error(capsys):
+    # It printed dim 10, the whole symmetric sector, with residual 2.02.
+    assert main(["metric", "--alpha", "0.3", "--rank-tol", "1"]) == 2
+    assert capsys.readouterr().err == "error: rank_tol must be below 1, got 1.0\n"
 
 
 def test_pmn_roundtrip(capsys):

@@ -350,7 +350,7 @@ def test_boundary_ray_flat_model():
     # at d = 0, B(a, 0, 0) = 9 - 9 a^2 changes sign at a = 1
     a, b = boundary_trace_ray((0.0, 0.0), (1.0, 0.0), 0.0)
     assert b == 0.0
-    assert a == pytest.approx(1.0, abs=1e-6)
+    assert abs(a - 1.0) <= math.ulp(1.0)
 
 
 def test_boundary_ray_at_moderate_d():
@@ -358,8 +358,94 @@ def test_boundary_ray_at_moderate_d():
     # (0.25 + 3)^2 - 9 a^2 = 0 at a = 3.25/3
     a, b = boundary_trace_ray((0.0, 0.0), (1.0, 0.0), 0.5)
     assert b == 0.0
-    assert a == pytest.approx(3.25 / 3.0, abs=1e-6)
+    assert abs(a - 13.0 / 12.0) <= math.ulp(13.0 / 12.0)
     assert abs(in_domain(a, b, 0.5).margin) <= 1e-9
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+def test_boundary_ray_from_a_center_just_outside(direction):
+    # The margin at the center is -5e-10, within tol, and the first step is
+    # outside too: the center is its own crossing.
+    center = (13.0 / 12.0 + 2.56e-11, 0.0)
+    assert -DEFAULT_MARGIN_TOL < in_domain(*center, 0.5).margin < 0.0
+    assert boundary_trace_ray(center, direction, 0.5) == center
+
+
+def mp_ray_exit(ux: float, uy: float, d: float):
+    """First exit from D along t -> (t ux, t uy) at 50 digits.
+
+    Each of the margin's three pieces A, A^2 - B and B is a polynomial of
+    degree <= 2 in tau = t^2, so its roots are exact square roots.  Returns
+    the exit, the length of the outside stretch after it (up to t = 1000)
+    and how far the rounding of the float margin can move the exit: 8 unit
+    roundoffs of the binding piece evaluated on absolute values (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1) over
+    the piece's slope.
+    """
+    with mpmath.workdps(50):
+        u, v, dd = mpmath.mpf(ux), mpmath.mpf(uy), mpmath.mpf(d) ** 2
+        n, s, w, k, e = u * u + v * v, u * v, v - 3 * u, dd + 3, 5 - dd
+        pieces = [
+            [0, -n / 2, e],
+            [n * n / 4 - s * s, 2 * s * k + w * w - n * e, e * e - k * k],
+            [s * s, -2 * s * k - w * w, k * k],
+        ]
+        knots = [mpmath.mpf(0), mpmath.mpf(1000)]
+        for p2, p1, p0 in pieces:
+            disc = p1 * p1 - 4 * p2 * p0
+            if p2 == 0:
+                taus = [-p0 / p1]
+            elif disc >= 0:
+                taus = [(-p1 + sign * mpmath.sqrt(disc)) / (2 * p2) for sign in (1, -1)]
+            else:
+                taus = []
+            knots += [mpmath.sqrt(tau) for tau in taus if 0 < tau < 10**6]
+        knots.sort()
+
+        def outside(i):
+            tau = ((knots[i] + knots[i + 1]) / 2) ** 2
+            return min(mpmath.polyval(p, tau) for p in pieces) < 0
+
+        first = next(i for i in range(len(knots) - 1) if outside(i))
+        last = next((i for i in range(first, len(knots) - 1) if not outside(i)), -1)
+        t = knots[first]
+        piece = min(pieces, key=lambda p: abs(mpmath.polyval(p, t * t)))
+        slope = 2 * t * mpmath.polyval([2 * piece[0], piece[1]], t * t)
+        a, b = t * u, t * v
+        A_abs = 5 + dd + (a * a + b * b) / 2
+        B_abs = (dd + abs(a * b) + 3) ** 2 + (abs(b) + 3 * abs(a)) ** 2
+        terms = [A_abs, A_abs**2 + B_abs, B_abs][pieces.index(piece)]
+        return t, knots[last] - t, 8 * terms * mpmath.mpf(2) ** -53 / abs(slope)
+
+
+def test_boundary_ray_is_the_50_digit_first_exit(monkeypatch):
+    # The ray reports the parameter t that brentq returns.  Brent stops a
+    # couple of ulps from where the float margin changes sign, and that
+    # sign change sits within the margin's rounding of the exact exit;
+    # on about one ray in ten the rounding moves it by more than 2 ulps.
+    found = []
+
+    def recording_brentq(f, a, b):
+        found.append(brentq(f, a, b))
+        return found[-1]
+
+    monkeypatch.setattr(quasih.domain, "brentq", recording_brentq)
+    rng = np.random.default_rng(20070315)
+    checked = 0
+    for angle, d in zip(rng.uniform(0.0, 2.0 * math.pi, 200), rng.uniform(0.1, 0.9, 200)):
+        direction = (math.cos(angle), math.sin(angle))
+        norm = math.hypot(*direction)
+        ux, uy = direction[0] / norm, direction[1] / norm
+        exit_t, stretch, slack = mp_ray_exit(ux, uy, d)
+        if stretch <= 0.25:
+            continue
+        found.clear()
+        a, b = boundary_trace_ray((0.0, 0.0), direction, d)
+        (t,) = found
+        assert (a, b) == (t * ux, t * uy)
+        assert abs(t - exit_t) <= 2 * math.ulp(t) + slack
+        checked += 1
+    assert checked >= 190
 
 
 def test_boundary_ray_outside_center_rejected():

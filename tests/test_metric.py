@@ -268,7 +268,9 @@ def test_polish_takes_scipys_steps_bit_for_bit(seed, dim, objective):
     assert_polish_is_scipys(OBJECTIVES[objective], x0)
 
 
-# 0.271890064688125 stops at the iteration limit after 9,802 evaluations.
+# status is the first polish's.  At 0.271890064688125 it stops at the
+# iteration limit after 9,802 evaluations, and a second polish, from unit
+# scale, converges.
 @pytest.mark.parametrize("alpha, status", [(0.3, 0), (0.271890064688125, 2)])
 def test_find_positive_polish_takes_scipys_steps(alpha, status, monkeypatch):
     results = []
@@ -279,7 +281,32 @@ def test_find_positive_polish_takes_scipys_steps(alpha, status, monkeypatch):
 
     monkeypatch.setattr(quasih.metric, "minimize", minimize)
     find_positive(metric_nullspace(build_alpha(alpha)))
-    assert [r.status for r in results] == [status]
+    assert [r.status for r in results] == ([2, 0] if status == 2 else [status])
+
+
+@pytest.mark.parametrize(
+    "h, optimum",
+    [
+        # 40-digit mpmath eigenvalues put the family's best ratio at
+        # 0.16327153801467488; a single polish stopped at 0.16319676168351593.
+        (build_alpha(0.271890064688125), 0.163271538),
+        # A single polish stopped at 0.027065272198130493.
+        (
+            build_full(
+                ParamPoint(
+                    1.047198218672584, -0.5258739766939025, 0.8961069822402675, 0.8961069822402675
+                )
+            ),
+            0.0272915,
+        ),
+    ],
+)
+def test_stalled_polish_is_restarted_at_unit_scale(h, optimum):
+    # The objective ignores scale, so the stalled polish had let the
+    # coefficients drift to |c| ~ 5e10, where its absolute xatol is never met.
+    cert = find_positive(metric_nullspace(h))
+    assert cert.positive
+    assert cert.min_eigenvalue >= optimum
 
 
 def near_boundary_full_points(n_rays=6, seed=6):
@@ -418,3 +445,11 @@ def test_nullspace_rejects_bad_input():
         metric_nullspace(np.eye(17))
     with pytest.raises(ValueError):
         metric_nullspace(np.eye(4), rank_tol=0.0)
+
+
+@pytest.mark.parametrize("rank_tol", [1.0, 1.5])
+def test_nullspace_rejects_rank_tol_of_one_or_more(rank_tol):
+    # With rank_tol >= 1 every singular value passed: at alpha = 0.3 the
+    # "family" was the whole 10-dimensional symmetric sector, residual 2.02.
+    with pytest.raises(ValueError, match="rank_tol must"):
+        metric_nullspace(build_alpha(0.3), rank_tol=rank_tol)
