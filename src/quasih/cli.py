@@ -25,6 +25,10 @@ and 2 on a usage error, with a one-line ``error:`` message on stderr for
 such as ``fig2 --t-max`` past the spike policy bound, is one ``warning:``
 line on stderr.  The ``QUASIH_THREADS`` environment variable is accepted
 and ignored: the grid scan is one numpy evaluation.
+
+Each subcommand imports the library modules it uses when it runs, so
+``dim``, ``pmn``, ``boundary`` and ``perturb --series`` or ``--spike`` load
+no numpy.
 """
 
 from __future__ import annotations
@@ -38,44 +42,13 @@ import warnings
 from pathlib import Path
 from typing import NoReturn
 
-import numpy as np
-
 from quasih import __version__
-from quasih.domain import (
-    DEFAULT_MARGIN_TOL,
-    _margins,
-    boundary_trace_ray,
-    figure1_geometry,
-    in_domain,
-    pmn_points,
-    scan_grid,
-)
-from quasih.metric import (
-    DEFAULT_RANK_TOL,
-    boundary_degeneracy_profile,
-    find_positive,
-    metric_nullspace,
-)
-from quasih.model import (
-    ParamPoint,
-    _require_finite,
-    build_alpha,
-    build_band,
-    build_full,
-    build_two_state,
-)
-from quasih.perturb import (
-    SpikeAnsatz,
-    _spike_coords,
-    band_series_E1,
-    band_series_E3,
-    critical_strength,
-    spike_membership,
-    spike_point,
-)
 from quasih.serialize import csv_rows, grid_csv, json_dumps, matrix_to_json_dict
-from quasih.spectrum import DEFAULT_REALITY_TOL, numeric_energies
 
+#: Defaults of ``--tol`` and ``--rank-tol``: spectrum.DEFAULT_REALITY_TOL (and
+#: domain.DEFAULT_MARGIN_TOL) and metric.DEFAULT_RANK_TOL, as a test checks.  They
+#: are spelled out because spectrum and metric load numpy.
+DEFAULT_TOL, DEFAULT_RANK_TOL = 1e-9, 1e-10
 
 #: Largest scan grid, in cells: 2000x2000.  A grid holds several float64
 #: arrays of this size and its CSV one row per cell.
@@ -161,6 +134,8 @@ def _emit(args, text: str) -> None:
 
 def _matrix(args) -> np.ndarray:
     """The matrix of the one model flag given."""
+    from quasih.model import ParamPoint, build_alpha, build_band, build_full, build_two_state
+
     if args.two_state is not None:
         return build_two_state(args.two_state)
     if args.full is not None:
@@ -203,6 +178,8 @@ def _parse_profile(text: str) -> tuple[float, float, int]:
 
 
 def _cmd_spectrum(args) -> str:
+    from quasih.spectrum import numeric_energies
+
     h = _matrix(args)
     spec = numeric_energies(h, args.tol)
     doc = {
@@ -214,26 +191,34 @@ def _cmd_spectrum(args) -> str:
     return json_dumps(doc)
 
 
-@np.errstate(over="raise", invalid="raise")  # a huge --d2 overflows A^2 - B
 def _cmd_scan(args) -> str:
+    import numpy as np
+
+    from quasih.domain import scan_grid
+
     if args.d2 < 0:
         raise ValueError("d2 must be non-negative")
     na, nb = args.res
     if na * nb > MAX_SCAN_CELLS:
         raise ValueError(f"resolution {na}x{nb} exceeds {MAX_SCAN_CELLS} cells")
-    grid = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res, args.tol)
+    with np.errstate(over="raise", invalid="raise"):  # a huge --d2 overflows A^2 - B
+        grid = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res, args.tol)
     return grid_csv(
         ["a", "b", "inside", "margin"], grid.a_values, grid.b_values, grid.inside, grid.margin
     )
 
 
 def _cmd_boundary(args) -> str:
+    from quasih.domain import boundary_trace_ray, in_domain
+
     a, b = boundary_trace_ray(tuple(args.center), tuple(args.direction), args.d, args.tol)
     verdict = in_domain(a, b, args.d, args.tol)
     return json_dumps({"a": a, "b": b, "d": args.d, "margin": verdict.margin})
 
 
 def _cmd_pmn(args) -> str:
+    from quasih.domain import pmn_points
+
     doc = {
         "d2": args.d2,
         "points": [
@@ -254,6 +239,10 @@ def _cmd_pmn(args) -> str:
 
 
 def _cmd_metric(args) -> str:
+    import numpy as np
+
+    from quasih.metric import boundary_degeneracy_profile, find_positive, metric_nullspace
+
     if args.profile is not None:
         lo, hi, n = args.profile
         profile = boundary_degeneracy_profile(np.linspace(lo, hi, n))
@@ -274,6 +263,16 @@ def _cmd_metric(args) -> str:
 
 
 def _cmd_perturb(args) -> str:
+    from quasih.domain import in_domain
+    from quasih.perturb import (
+        SpikeAnsatz,
+        band_series_E1,
+        band_series_E3,
+        critical_strength,
+        spike_membership,
+        spike_point,
+    )
+
     doc = {}
     if args.critical:
         alpha_cs, e_cs = critical_strength()
@@ -304,6 +303,8 @@ def _cmd_perturb(args) -> str:
 
 
 def _cmd_fig1(args) -> str:
+    from quasih.domain import figure1_geometry
+
     geo = figure1_geometry(args.d2)
     doc = {
         "d2": args.d2,
@@ -316,8 +317,13 @@ def _cmd_fig1(args) -> str:
     return json_dumps(doc)
 
 
-@np.errstate(over="raise", invalid="raise")  # a huge --t-max or --coef-c is a usage error
 def _cmd_fig2(args) -> str:
+    import numpy as np
+
+    from quasih.domain import DEFAULT_MARGIN_TOL, _margins
+    from quasih.model import _require_finite
+    from quasih.perturb import SpikeAnsatz, _spike_coords
+
     for flag, count in (("t-steps", args.t_steps), ("res-a", args.res_a)):
         if count < 1:
             raise ValueError(f"{flag} must be >= 1")
@@ -326,11 +332,12 @@ def _cmd_fig2(args) -> str:
         raise ValueError("--t-max: spike parameter t must be non-negative")
     # One ansatz for the whole scan: it warns once if t_max is past the policy bound.
     SpikeAnsatz(t=args.t_max, coef_a=args.coef_c, coef_c=args.coef_c)
-    t = np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps)[:, None]
-    coef_a = np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a)
     corner = (args.corner_a, args.corner_c)
-    a, c = np.broadcast_arrays(*_spike_coords(t, coef_a, args.coef_c, corner))
-    inside = _margins(a, 0.0, c)[2] >= -DEFAULT_MARGIN_TOL
+    with np.errstate(over="raise", invalid="raise"):  # a huge --t-max or --coef-c is a usage error
+        t = np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps)[:, None]
+        coef_a = np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a)
+        a, c = np.broadcast_arrays(*_spike_coords(t, coef_a, args.coef_c, corner))
+        inside = _margins(a, 0.0, c)[2] >= -DEFAULT_MARGIN_TOL
     return csv_rows(["a", "c", "inside"], zip(a.flat, c.flat, inside.flat))
 
 
@@ -367,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def tol(p):
-        p.add_argument(
-            "--tol", type=float, default=DEFAULT_REALITY_TOL, help="reality/margin tolerance"
-        )
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="reality/margin tolerance")
 
     p = command("spectrum", _cmd_spectrum, "energies of a selected model matrix")
     _model_flags(p)
@@ -438,6 +443,13 @@ def _format_warning(message, *_) -> str:
     return f"warning: {message}\n"
 
 
+def _linalg_error() -> type[Exception]:
+    """numpy's LinAlgError, a numerical failure, if numpy is loaded; before
+    that none can have been raised, and RuntimeError stands in for it."""
+    linalg = sys.modules.get("numpy.linalg")
+    return RuntimeError if linalg is None else linalg.LinAlgError
+
+
 def main(argv=None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -448,7 +460,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_with_config(argv, parser))
         _emit(args, args.func(args))
         return 0
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, _linalg_error()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, FloatingPointError) as exc:

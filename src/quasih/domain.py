@@ -10,14 +10,14 @@ d^2 = (b-3)(a+1).  They are the real roots of one quartic, which
 :func:`_real_roots` isolates between the real roots of its derivatives
 and refines with :func:`brentq`, which also refines the spike edges in
 :mod:`quasih.perturb` and the exit that a boundary ray's march brackets.
+All of this is plain float and integer arithmetic; only the grid scan and
+the figure polylines use numpy, which they import when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from quasih.model import _require_finite, _require_positive
 from quasih.secular import _reduced_AB, constant_term, reduced_AB
@@ -154,6 +154,16 @@ def brentq(f, a, b) -> float:
     raise RuntimeError(f"Failed to converge after 2200 iterations, value is {xcur}")
 
 
+def _polymul(p, q) -> list[float]:
+    """Coefficients of the product of two polynomials, each coefficient
+    summed left to right, so its bits do not depend on a BLAS kernel."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
 def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
     """Real roots in [lo, hi] of the polynomial with ``coeffs`` (highest
     power first), ascending.
@@ -167,11 +177,13 @@ def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
     a root of even multiplicity is found only as an exact zero.  Infinite
     ends are clamped to Fujiwara's bound on the root moduli.
     """
-    c = [float(x) for x in np.trim_zeros(np.asarray(coeffs, dtype=float), "f")]
+    c = [float(x) for x in coeffs]
+    while c and c[0] == 0.0:
+        del c[0]
     if len(c) < 2:
         return []
     bound = 2.0 * max(abs(ck / c[0]) ** (1.0 / k) for k, ck in enumerate(c[1:], 1))
-    if not (math.isfinite(bound) and np.isfinite(c).all()):
+    if not (math.isfinite(bound) and all(map(math.isfinite, c))):
         raise FloatingPointError("polynomial coefficients or roots overflow")
     lo, hi = max(lo, -bound), min(hi, bound)
     if len(c) == 2:
@@ -189,15 +201,16 @@ def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
             value = value * num + m * power
         return value / (unit * power)
 
-    ends = [lo, *_real_roots(np.polyder(c), lo, hi), hi]
-    signs = [np.sign(f(x)) for x in ends]
+    n = len(c) - 1
+    ends = [lo, *_real_roots([ck * (n - k) for k, ck in enumerate(c[:n])], lo, hi), hi]
+    signs = [(v > 0.0) - (v < 0.0) for v in map(f, ends)]
     roots: list[float] = []
     for x0, x1, s0, s1 in zip(ends, ends[1:], signs, signs[1:]):
-        if s0 == 0.0 and x0 not in roots:
+        if s0 == 0 and x0 not in roots:
             roots.append(x0)
-        elif s0 * s1 < 0.0:
+        elif s0 * s1 < 0:
             roots.append(brentq(f, x0, x1))
-    if signs[-1] == 0.0 and hi not in roots:
+    if signs[-1] == 0 and hi not in roots:
         roots.append(hi)
     return roots
 
@@ -221,10 +234,8 @@ def pmn_points(d2: float) -> list[PMNPoint]:
         raise ValueError("d2 must lie in (0, 5)")
     r = math.sqrt(10.0 - 2.0 * d2)
     d = math.sqrt(d2)
-    quartic = np.polysub(
-        np.polymul([3.0, 2.0 * r, 3.0], [-r - 1.0, 0.0, r - 1.0]),
-        [d2, 0.0, 2.0 * d2, 0.0, d2],
-    )
+    product = _polymul([3.0, 2.0 * r, 3.0], [-r - 1.0, 0.0, r - 1.0])
+    quartic = [x - y for x, y in zip(product, [d2, 0.0, 2.0 * d2, 0.0, d2])]
     points = []
     for u in _real_roots(quartic, -math.inf, math.inf):
         a, b = r * (1.0 - u * u) / (1.0 + u * u), 2.0 * r * u / (1.0 + u * u)
@@ -287,6 +298,8 @@ def scan_grid(
     broadcast, and every cell equals the scalar :func:`in_domain` verdict
     bit for bit.
     """
+    import numpy as np
+
     na, nb = resolution
     if na < 1 or nb < 1:
         raise ValueError("resolution counts must be >= 1")
@@ -301,6 +314,8 @@ def scan_grid(
 
 def _margins(a, b, d):
     """A, B and :func:`in_domain`'s margin over arrays, cell for cell bit-identical."""
+    import numpy as np
+
     A, B = _reduced_AB(a, b, d)
     return A, B, np.minimum(np.minimum(A, A * A - B), B)
 
@@ -312,6 +327,8 @@ def _hyperbola_polyline(center: tuple[float, float], d2: float) -> list[np.ndarr
     u != 0; the two signs of u give the two branches, each 400 points
     with |u| geometric from d2/18 to 8.
     """
+    import numpy as np
+
     a0, b0 = center
     u = np.geomspace(d2 / 18.0, 8.0, 400)
     return [np.column_stack([a0 + s * u, b0 + d2 / (s * u)]) for s in (1.0, -1.0)]

@@ -1,7 +1,9 @@
 """Hamiltonian matrix constructors for the four-level PT-symmetric model.
 
 All constructors are pure and return fresh float64 numpy arrays; nothing is
-cached or mutated, so the results are safe to share between threads.
+cached or mutated, so the results are safe to share between threads.  The
+module loads without numpy, which the constructors import when called: the
+scalar layers use only the validators and :class:`ParamPoint`.
 
 The library default energy convention is the symmetrized ("shifted")
 unperturbed spectrum (-3, -1, 1, 3); the raw harmonic levels (1, 3, 5, 7)
@@ -12,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 def _require_finite(**values: float) -> None:
@@ -45,6 +45,12 @@ class ParamPoint:
         return (self.a, self.b, self.c, self.d)
 
 
+def _array(rows) -> np.ndarray:
+    import numpy as np
+
+    return np.array(rows)
+
+
 def build_two_state(b: float) -> np.ndarray:
     """Two-level model [[-1, b], [-b, 1]].
 
@@ -52,7 +58,7 @@ def build_two_state(b: float) -> np.ndarray:
     conjugate otherwise, with a Jordan block at |b| = 1.
     """
     _require_finite(b=b)
-    return np.array([[-1.0, b], [-b, 1.0]])
+    return _array([[-1.0, b], [-b, 1.0]])
 
 
 def build_full(p: ParamPoint) -> np.ndarray:
@@ -62,7 +68,7 @@ def build_full(p: ParamPoint) -> np.ndarray:
     and the lower-left block is its negative transpose.
     """
     a, b, c, d = p.as_tuple()
-    return np.array(
+    return _array(
         [
             [-3.0, 0.0, c, b],
             [0.0, 1.0, a, d],
@@ -80,7 +86,7 @@ def build_reordered(p: ParamPoint) -> np.ndarray:
     (-3, -1, 1, 3); the spectrum is unchanged.
     """
     order = [0, 2, 1, 3]
-    return build_full(p)[np.ix_(order, order)]
+    return build_full(p)[order][:, order]
 
 
 def build_band(a: float, c: float) -> np.ndarray:
@@ -89,7 +95,7 @@ def build_band(a: float, c: float) -> np.ndarray:
     Equal to ``build_reordered(ParamPoint(a, 0, c, c))`` entry by entry.
     """
     _require_finite(a=a, c=c)
-    return np.array(
+    return _array(
         [
             [-3.0, c, 0.0, 0.0],
             [-c, -1.0, -a, 0.0],
@@ -108,7 +114,7 @@ def build_alpha(alpha: float) -> np.ndarray:
     """
     _require_finite(alpha=alpha)
     t = 2.0 * alpha
-    return np.array(
+    return _array(
         [
             [-3.0, t, 0.0, 0.0],
             [-t, -1.0, t, 0.0],
@@ -128,6 +134,8 @@ def harmonic_diag(n_plus: int, n_minus: int, shifted: bool = True) -> np.ndarray
     spectrum, which for equal sector sizes gives the symmetric levels,
     e.g. (1, 5, 3, 7) -> (-3, 1, -1, 3).
     """
+    import numpy as np
+
     if n_plus < 0 or n_minus < 0:
         raise ValueError("sector sizes must be non-negative")
     if n_plus + n_minus == 0:

@@ -28,12 +28,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
-import numpy as np
-
-from quasih.domain import _real_roots, in_domain
+from quasih.domain import _polymul, _real_roots, in_domain
 from quasih.model import _require_finite, build_alpha
-from quasih.spectrum import band_closed_energies, numeric_energies
 
 #: Supported truncation orders of the band series.
 SERIES_ORDERS = (2, 4, 6)
@@ -117,6 +115,8 @@ def band_series_E1(alpha: float, order: int) -> float:
 
 
 def _band_exact(alpha: float, which: int) -> float:
+    from quasih.spectrum import band_closed_energies
+
     energies = band_closed_energies(alpha).energies
     mags = sorted(abs(e) for e in energies)
     # Two +- pairs: small pair |E_1|, large pair |E_3|.
@@ -131,6 +131,8 @@ def series_scaling_check(
     The next omitted term is O(alpha^(order+2)), so halving alpha should
     shrink the error by about 2^(order+2).
     """
+    import numpy as np
+
     if which not in (1, 3):
         raise ValueError("which must be 1 or 3")
     series = band_series_E1 if which == 1 else band_series_E3
@@ -152,6 +154,8 @@ def critical_strength() -> tuple[float, float]:
     Self-checks that the discriminant 5a^4 - 12a^2 + 4 vanishes there and
     that the numeric spectrum consists of two doubly degenerate levels.
     """
+    from quasih.spectrum import numeric_energies
+
     alpha_cs = math.sqrt(0.4)
     e_cs = math.sqrt(2.6)
     disc = 5.0 * alpha_cs**4 - 12.0 * alpha_cs**2 + 4.0
@@ -228,8 +232,8 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
     p = [-2.0 * t**3, 4.0 * t * (1.0 - t), 4.0 - 2.0 * t + 6.0 * s - 3.0 * t * s * s]
     g = [2.0, s * s - 2.0 * coef_c]
     h = [-2.0 * t * t, 4.0 - 2.0 * t - 2.0 * t * s + t * t * s * s]
-    gh = np.polymul(g, h)
-    quartic = np.polysub(np.polymul(p, p), 9.0 * gh)
+    gh = _polymul(g, h)
+    quartic = [x - 9.0 * y for x, y in zip(_polymul(p, p), [0.0, 0.0, *gh])]
     roots = [x for f in (g, h, p, quartic) for x in _real_roots(f, -math.inf, math.inf)]
     below = [x for x in roots if x < coef_c]
     above = [x for x in roots if x > coef_c]
@@ -239,6 +243,6 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
         # halfway there tells; past the last root any point does.
         for side, nearest, step in ((below, max, -1.0), (above, min, 1.0)):
             x = (coef_c + nearest(side, default=coef_c + step)) / 2
-            if min(np.polyval(f, x) for f in (p, quartic, gh)) < 0.0:
+            if min(reduce(lambda y, ck: y * x + ck, f, 0.0) for f in (p, quartic, gh)) < 0.0:
                 side.append(coef_c)
     return max(below), min(above)

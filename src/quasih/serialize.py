@@ -10,14 +10,15 @@ a membership grid over an (a, b) rectangle in a-major order (all b
 values for the first a, then the next a), with inside flags as 1/0; it
 formats each axis value and each margin once, and its text equals
 :func:`csv_rows` applied to the per-cell rows (a, b, inside, margin).
+
+JSON of plain Python values loads no numpy; the JSON ``default`` hook and
+the array helpers import it when they are called.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-
-import numpy as np
 
 
 #: Format spec of every float cell: 17 significant digits.
@@ -31,14 +32,16 @@ def fmt(x: float) -> str:
 
 def _json_default(obj):
     """A numpy array or scalar as JSON values, a complex number as [real, imag]."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    import numpy as np
+
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -50,12 +53,16 @@ def json_dumps(obj) -> str:
 
 def matrix_to_json_dict(m: np.ndarray) -> dict:
     """Matrix as {"n": ..., "rows": [[...], ...]}."""
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     return {"n": int(m.shape[0]), "rows": m.tolist()}
 
 
 def csv_rows(header: list[str], rows) -> str:
     """CSV text with header; numeric cells at full precision."""
+    import numpy as np
+
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -71,6 +78,8 @@ def csv_rows(header: list[str], rows) -> str:
 
 
 def _formatted(values) -> list[str]:
+    import numpy as np
+
     return [format(x, FLOAT_FORMAT) for x in np.asarray(values, dtype=float).ravel().tolist()]
 
 
@@ -80,6 +89,8 @@ def grid_csv(header: list[str], a_values, b_values, inside, margin) -> str:
     ``inside`` and ``margin`` have shape (len(a_values), len(b_values));
     cell [i, j] belongs to (a_values[i], b_values[j]).
     """
+    import numpy as np
+
     a_cells, b_cells = _formatted(a_values), _formatted(b_values)
     inside = np.asarray(inside, dtype=bool)
     margin = np.asarray(margin, dtype=float)

@@ -8,10 +8,17 @@ import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import quasih.cli
+import quasih.domain
+import quasih.metric
+import quasih.spectrum
 from quasih.cli import MAX_PROFILE_POINTS, MAX_SCAN_CELLS, _parser, dim_domain, main
+from quasih.domain import DEFAULT_MARGIN_TOL
+from quasih.metric import DEFAULT_RANK_TOL
+from quasih.spectrum import DEFAULT_REALITY_TOL
 
 
 def run(capsys, *argv):
@@ -43,6 +50,25 @@ def test_spectrum_whose_eigenvalues_overflow_is_a_numerical_failure(capsys):
     # It exited 0 and printed "max_imag": Infinity, which is not JSON.
     assert main(["spectrum", "--full", "1e308", "1e308", "1e308", "1e308"]) == 1
     assert capsys.readouterr() == ("", "error: eigenvalues overflow the float range\n")
+
+
+def test_linalg_error_is_a_numerical_failure(capsys, monkeypatch):
+    def numeric_energies(*args):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(quasih.spectrum, "numeric_energies", numeric_energies)
+    assert main(["spectrum", "--alpha", "0.3"]) == 1
+    assert capsys.readouterr() == ("", "error: eigenvalues did not converge\n")
+
+
+def test_tolerance_defaults_are_the_librarys():
+    # The parser spells them out so that it loads no numpy.
+    parse = _parser().parse_args
+    assert parse(["spectrum", "--alpha", "0"]).tol == DEFAULT_REALITY_TOL
+    assert parse(["scan", "--d2", "1"]).tol == DEFAULT_MARGIN_TOL
+    boundary = ["boundary", "--center", "0", "0", "--direction", "1", "0", "--d", "0"]
+    assert parse(boundary).tol == DEFAULT_MARGIN_TOL
+    assert parse(["metric", "--alpha", "0"]).rank_tol == DEFAULT_RANK_TOL
 
 
 def test_spectrum_of_huge_finite_couplings_is_unchanged(capsys):
@@ -114,7 +140,7 @@ def test_scan_rejects_grids_above_the_cell_cap(res, capsys, monkeypatch):
     def scan_grid(*args):
         raise AssertionError("the grid was allocated")
 
-    monkeypatch.setattr(quasih.cli, "scan_grid", scan_grid)
+    monkeypatch.setattr(quasih.domain, "scan_grid", scan_grid)
     assert main(["scan", "--d2", "1", "--res", res]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: resolution ") and err.count("\n") == 1
@@ -127,7 +153,7 @@ def test_scan_accepts_a_grid_at_the_cell_cap(capsys, monkeypatch):
         calls.append(args)
         return SimpleNamespace(a_values=[], b_values=[], inside=[], margin=[])
 
-    monkeypatch.setattr(quasih.cli, "scan_grid", scan_grid)
+    monkeypatch.setattr(quasih.domain, "scan_grid", scan_grid)
     monkeypatch.setattr(quasih.cli, "grid_csv", lambda *args: "")
     assert main(["scan", "--d2", "1", "--res", "2000x2000"]) == 0
     assert calls[0][3] == (2000, 2000) and 2000 * 2000 == MAX_SCAN_CELLS
@@ -296,7 +322,7 @@ def test_metric_profile_points_are_capped(capsys, monkeypatch):
     def profile(alphas):
         raise AssertionError("the profile ran past the point cap")
 
-    monkeypatch.setattr(quasih.cli, "boundary_degeneracy_profile", profile)
+    monkeypatch.setattr(quasih.metric, "boundary_degeneracy_profile", profile)
     assert main(["metric", "--profile", f"0.1:0.5:{MAX_PROFILE_POINTS + 1}"]) == 2
     assert capsys.readouterr() == (
         "",

@@ -105,6 +105,16 @@ def test_pmn_points_reference_value():
         assert abs(constant_term(p.a, p.b, p.d, p.d)) <= 1e-9
 
 
+def test_pmn_quartic_is_numpys_product_bit_for_bit(monkeypatch):
+    # The quartic's products are summed left to right in plain floats; the
+    # points equal those from np.polymul's products, bit for bit.
+    rng = random.Random(16)
+    d2s = [rng.uniform(0.001, 4.999) for _ in range(500)] + [0.13616, 1.6, 3.0]
+    points = [pmn_points(d2) for d2 in d2s]
+    monkeypatch.setattr(quasih.domain, "_polymul", lambda p, q: np.polymul(p, q).tolist())
+    assert [pmn_points(d2) for d2 in d2s] == points
+
+
 def test_pmn_points_include_axis_points_at_d2_3():
     points = pmn_points(3.0)
     on_axis = [p for p in points if abs(p.b) < 1e-9]

@@ -112,6 +112,70 @@ def test_every_subcommand_prints_its_golden_without_scipy():
     assert report["outputs"] == {name: (GOLDEN / name).read_text() for name in CASES}
 
 
+# The scalar layers need no numpy: with every import of it made to fail, the
+# scalar subcommands print their goldens, usage errors are still one line and
+# exit 2, and the domain and spike functions run.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import quasih.cli, quasih.domain, quasih.perturb
+outputs, errors = {}, []
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert quasih.cli.main(argv) == 0, argv
+    outputs[name] = out.getvalue()
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        errors.append([quasih.cli.main(argv), out.getvalue(), err.getvalue()])
+library = [
+    [[p.a, p.b] for p in quasih.domain.pmn_points(1.6)],
+    quasih.domain.boundary_trace_ray((0.0, 0.0), (1.0, 0.3), 0.5),
+    quasih.perturb.spike_band_edges(0.3, 0.05),
+]
+print(json.dumps({"outputs": outputs, "errors": errors, "library": library}))
+"""
+SCALAR = [
+    "dim_n_4.txt",
+    "pmn_d2_1.6.json",
+    "boundary_center_0_0_direction_1_0.3_d_0.5.json",
+    "perturb_series_e3_order_6_alpha_0.3.json",
+    "perturb_spike_0.3_0.3_0.01.json",
+]
+USAGE_ERRORS = [
+    ["pmn", "--d2", "7"],
+    ["boundary", "--center", "0", "0", "--direction", "0", "0", "--d", "0.5"],
+]
+
+
+@pytest.fixture(scope="module")
+def numpy_blocked():
+    cases = json.dumps({name: CASES[name] for name in SCALAR})
+    return run_probe(NUMPY_PROBE, cases, json.dumps(USAGE_ERRORS))
+
+
+def test_scalar_subcommands_print_their_goldens_without_numpy(numpy_blocked):
+    from quasih.domain import boundary_trace_ray, pmn_points
+    from quasih.perturb import spike_band_edges
+
+    assert numpy_blocked["outputs"] == {name: (GOLDEN / name).read_text() for name in SCALAR}
+    assert numpy_blocked["library"] == [
+        [[p.a, p.b] for p in pmn_points(1.6)],
+        list(boundary_trace_ray((0.0, 0.0), (1.0, 0.3), 0.5)),
+        list(spike_band_edges(0.3, 0.05)),
+    ]
+
+
+def test_usage_errors_exit_2_in_one_line_without_numpy(numpy_blocked):
+    # main's numerical-failure clause names numpy's LinAlgError; naming it
+    # must not need numpy, or a usage error would end in a NameError.
+    assert numpy_blocked["errors"] == [
+        [2, "", "error: d2 must lie in (0, 5)\n"],
+        [2, "", "error: direction must be non-zero\n"],
+    ]
+
+
 # A scan and then pmn, in the same fresh interpreter: neither loads
 # scipy.optimize, and pmn still prints its golden.
 SCAN_PROBE = """

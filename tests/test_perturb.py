@@ -1,11 +1,13 @@
 import functools
 import math
+import random
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+import quasih.perturb
 from quasih import (
     Reality,
     SpikeAnsatz,
@@ -226,3 +228,16 @@ def test_spike_edge_slopes(coef_c):
     assert abs((upper - (coef_c + 8.0 / 9.0)) / t - (16.0 * coef_c / 9.0 + 80.0 / 81.0)) <= 1e-3
     # The lower edge is exact in closed form.
     assert lower == pytest.approx(coef_c - 0.5 - coef_c * t - coef_c**2 * t * t / 2, abs=1e-15)
+
+
+def test_spike_edges_do_not_depend_on_the_blas_product(monkeypatch):
+    # np.polymul goes through the BLAS dot kernel, whose bits can depend on the
+    # CPU (on general 3x3 inputs it differs from a left-to-right sum in the
+    # degree-1 and degree-3 coefficients); the spike factors give the same bits
+    # either way, so the edges equal those of the numpy products.
+    rng = random.Random(16)
+    pairs = [(rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, -0.5)) for _ in range(1200)]
+    pairs += [(-0.5, 2.0), (-1.0, 1.0), (-0.25, 4.0)]
+    edges = [spike_band_edges(coef_c, t) for coef_c, t in pairs]
+    monkeypatch.setattr(quasih.perturb, "_polymul", lambda p, q: np.polymul(p, q).tolist())
+    assert [spike_band_edges(coef_c, t) for coef_c, t in pairs] == edges
