@@ -14,7 +14,7 @@ the subcommand's long options with dashes replaced by underscores; a
 switch such as ``basis`` takes ``true`` or ``false``.  Its lines are read
 as ``--key value`` flags right after the subcommand, so flags on the
 command line win and config values pass the same checks.  ``--tol``
-exists only on spectrum, scan and boundary, which use it.  Options are
+exists only on spectrum, which uses it.  Options are
 spelled in full: a prefix such as ``--d`` for ``--d2`` is an error.
 Negative numbers in any form (``-8.4e-05``, ``-inf``) and ``--range
 -4:4:-4:4`` are values, never option strings.
@@ -27,8 +27,8 @@ line on stderr.  The ``QUASIH_THREADS`` environment variable is accepted
 and ignored: the grid scan is one numpy evaluation.
 
 Each subcommand imports the library modules it uses when it runs, so
-``dim``, ``pmn``, ``boundary`` and ``perturb --series`` or ``--spike`` load
-no numpy.
+``dim``, ``pmn``, ``boundary`` and ``perturb`` (``--critical``,
+``--series`` or ``--spike``) load no numpy.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from typing import NoReturn
 from quasih import __version__
 from quasih.serialize import csv_rows, grid_csv, json_dumps, matrix_to_json_dict
 
-#: Defaults of ``--tol`` and ``--rank-tol``: spectrum.DEFAULT_REALITY_TOL (and
-#: domain.DEFAULT_MARGIN_TOL) and metric.DEFAULT_RANK_TOL, as a test checks.  They
-#: are spelled out because spectrum and metric load numpy.
+#: Defaults of ``--tol`` and ``--rank-tol``: spectrum.DEFAULT_REALITY_TOL and
+#: metric.DEFAULT_RANK_TOL, as a test checks.  They are spelled out because
+#: spectrum and metric load numpy.
 DEFAULT_TOL, DEFAULT_RANK_TOL = 1e-9, 1e-10
 
 #: Largest scan grid, in cells: 2000x2000.  A grid holds several float64
@@ -202,7 +202,7 @@ def _cmd_scan(args) -> str:
     if na * nb > MAX_SCAN_CELLS:
         raise ValueError(f"resolution {na}x{nb} exceeds {MAX_SCAN_CELLS} cells")
     with np.errstate(over="raise", invalid="raise"):  # a huge --d2 overflows A^2 - B
-        grid = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res, args.tol)
+        grid = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res)
     return grid_csv(
         ["a", "b", "inside", "margin"], grid.a_values, grid.b_values, grid.inside, grid.margin
     )
@@ -211,9 +211,8 @@ def _cmd_scan(args) -> str:
 def _cmd_boundary(args) -> str:
     from quasih.domain import boundary_trace_ray, in_domain
 
-    a, b = boundary_trace_ray(tuple(args.center), tuple(args.direction), args.d, args.tol)
-    verdict = in_domain(a, b, args.d, args.tol)
-    return json_dumps({"a": a, "b": b, "d": args.d, "margin": verdict.margin})
+    a, b = boundary_trace_ray(tuple(args.center), tuple(args.direction), args.d)
+    return json_dumps({"a": a, "b": b, "d": args.d, "margin": in_domain(a, b, args.d).margin})
 
 
 def _cmd_pmn(args) -> str:
@@ -320,7 +319,7 @@ def _cmd_fig1(args) -> str:
 def _cmd_fig2(args) -> str:
     import numpy as np
 
-    from quasih.domain import DEFAULT_MARGIN_TOL, _margins
+    from quasih.domain import _margins
     from quasih.model import _require_finite
     from quasih.perturb import SpikeAnsatz, _spike_coords
 
@@ -337,7 +336,7 @@ def _cmd_fig2(args) -> str:
         t = np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps)[:, None]
         coef_a = np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a)
         a, c = np.broadcast_arrays(*_spike_coords(t, coef_a, args.coef_c, corner))
-        inside = _margins(a, 0.0, c)[2] >= -DEFAULT_MARGIN_TOL
+        inside = _margins(a, 0.0, c, np.minimum)[3]
     return csv_rows(["a", "c", "inside"], zip(a.flat, c.flat, inside.flat))
 
 
@@ -373,12 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def tol(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="reality/margin tolerance")
-
     p = command("spectrum", _cmd_spectrum, "energies of a selected model matrix")
     _model_flags(p)
-    tol(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="reality tolerance")
 
     p = command("scan", _cmd_scan, "membership grid over the a-b plane")
     p.add_argument("--d2", type=float, required=True, help="fixed c^2 = d^2 value")
@@ -386,13 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--range", type=_parse_range, default=(-4.0, 4.0, -4.0, 4.0), metavar="A0:A1:B0:B1"
     )
     p.add_argument("--res", type=_parse_res, default=(81, 81), metavar="NxM")
-    tol(p)
 
     p = command("boundary", _cmd_boundary, "trace the domain boundary along a ray")
     p.add_argument("--center", type=float, nargs=2, required=True, metavar=("A", "B"))
     p.add_argument("--direction", type=float, nargs=2, required=True, metavar=("DX", "DY"))
     p.add_argument("--d", type=float, required=True)
-    tol(p)
 
     p = command("pmn", _cmd_pmn, "points of maximal non-Hermiticity at fixed d^2")
     p.add_argument("--d2", type=float, required=True)

@@ -19,11 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from quasih.model import _require_finite, _require_positive
-from quasih.secular import _reduced_AB, constant_term, reduced_AB
-
-#: Default absolute tolerance on the membership margin.
-DEFAULT_MARGIN_TOL = 1e-9
+from quasih.model import _require_finite
+from quasih.secular import _reduced_AB, constant_term
 
 
 class BoundaryTraceError(RuntimeError):
@@ -32,7 +29,7 @@ class BoundaryTraceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DomainVerdict:
-    """Membership verdict with the constraint slacks behind it."""
+    """Membership verdict and the constraint slacks behind it (see :func:`in_domain`)."""
 
     inside: bool
     A: float
@@ -60,9 +57,9 @@ class PMNPoint:
 class GridScan:
     """Membership over an (a, b) rectangle at fixed d, as arrays.
 
-    ``A``, ``B``, ``margin`` and ``inside`` have shape (len(a_values),
-    len(b_values)); cell [i, j] holds the :func:`in_domain` verdict at
-    (a_values[i], b_values[j]).
+    ``A``, ``B``, ``margin``, ``inside`` and ``on_boundary`` have shape
+    (len(a_values), len(b_values)); cell [i, j] holds the :func:`in_domain`
+    verdict at (a_values[i], b_values[j]).
     """
 
     a_values: np.ndarray
@@ -71,20 +68,50 @@ class GridScan:
     B: np.ndarray
     margin: np.ndarray
     inside: np.ndarray
+    on_boundary: np.ndarray
 
 
-def in_domain(a: float, b: float, d: float, tol: float = DEFAULT_MARGIN_TOL) -> DomainVerdict:
+def in_domain(a: float, b: float, d: float) -> DomainVerdict:
     """Decide whether (a, b, d) lies in the quasi-Hermiticity domain.
 
-    Inside means A >= -tol, A^2 - B >= -tol and B >= -tol; the margin is
-    min(A, A^2 - B, B) and |margin| <= tol flags a boundary point.
+    Outside only if the float margin min(A, A^2 - B, B) is below minus its
+    rounding bound :func:`_margin_bound`, so the exact margin is negative;
+    on the boundary if |margin| is within the bound, so it may be zero.
     """
-    _require_positive(tolerance=tol)
-    A, B = reduced_AB(a, b, d)
-    margin = min(A, A * A - B, B)
-    return DomainVerdict(
-        inside=margin >= -tol, A=A, B=B, margin=margin, on_boundary=abs(margin) <= tol
-    )
+    _require_finite(a=a, b=b, d=d)
+    A, B, margin, inside, on_boundary = _margins(a, b, d, min)
+    return DomainVerdict(inside=inside, A=A, B=B, margin=margin, on_boundary=on_boundary)
+
+
+def _margins(a, b, d, minimum):
+    """A, B, margin, inside, on_boundary of :func:`in_domain` at floats (with
+    min) or arrays (np.minimum), bit for bit.  Where the bound overflows, A
+    is negative far beyond its rounding: outside."""
+    A, B = _reduced_AB(a, b, d)
+    margin = minimum(minimum(A, A * A - B), B)
+    bound = _margin_bound(a, b, d)
+    finite = bound < math.inf
+    return A, B, margin, (margin >= -bound) & finite, (abs(margin) <= bound) & finite
+
+
+def _margin_bound(a, b, d):
+    """Bound on the rounding error of :func:`in_domain`'s float margin at
+    floats or arrays a, b, d (only +, * and abs: the same bits for both).
+
+    A result of +, - and * with at most k roundings on any path is off by
+    at most gamma_k = k u / (1 - k u), u = 2^-53, times the same sums and
+    products of absolute values (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sec. 3.1, Lemma 3.3; a product adds its
+    operands' counts and 1, a sum takes the larger and 1).  In the order of
+    :func:`quasih.secular._reduced_AB`, A takes 3 roundings with
+    A~ = 5 + d^2 + (a^2 + b^2)/2, p = d^2 - ab + 3 takes 3 with
+    p~ = 3 + d^2 + |ab| and q = b - 3a takes 2 with q~ = |b| + 3|a|, so
+    A^2 - (p^2 - q^2) takes 9: the margin is off by at most gamma_9 s^2,
+    s = A~ + p~ + q~.  10 u s^2 in floats (14 roundings of non-negative
+    terms) exceeds 9.99 u s^2, and the spare u s^2 >= 8 u s covers underflow.
+    """
+    s = 8.0 + 2.0 * (d * d) + 0.5 * (a * a + b * b) + abs(a * b) + abs(b) + 3.0 * abs(a)
+    return 10.0 * 2.0**-53 * s * s
 
 
 def in_domain_rotated(sigma: float, delta: float, d: float) -> bool:
@@ -246,18 +273,15 @@ def pmn_points(d2: float) -> list[PMNPoint]:
 
 
 def boundary_trace_ray(
-    center: tuple[float, float],
-    direction: tuple[float, float],
-    d: float,
-    tol: float = DEFAULT_MARGIN_TOL,
+    center: tuple[float, float], direction: tuple[float, float], d: float
 ) -> tuple[float, float]:
     """First boundary crossing along a ray from an interior point.
 
     Marches outward in steps of 0.25 until the membership margin changes
-    sign and refines that bracket with :func:`brentq`.  ``tol`` only admits
-    the center: one up to ``tol`` outside is its own crossing if the first
-    step is outside too.  Raises :class:`BoundaryTraceError` if the center
-    lies further out or no sign change occurs within length 100.
+    sign and refines that bracket with :func:`brentq`; a center inside by
+    the rounding bound but with a negative margin is its own crossing if
+    the first step is outside too.  Raises :class:`BoundaryTraceError` if
+    the center is outside or no sign change occurs within length 100.
     """
     a0, b0 = center
     dx, dy = direction
@@ -267,12 +291,13 @@ def boundary_trace_ray(
         raise ValueError("direction must be non-zero")
     dx, dy = dx / norm, dy / norm
 
-    def margin(t: float) -> float:
-        return in_domain(a0 + t * dx, b0 + t * dy, d, tol).margin
-
-    m0 = margin(0.0)
-    if m0 < -tol:
+    verdict = in_domain(a0, b0, d)
+    if not verdict.inside:
         raise BoundaryTraceError("ray center lies outside the domain")
+    m0 = verdict.margin
+
+    def margin(t: float) -> float:
+        return in_domain(a0 + t * dx, b0 + t * dy, d).margin
 
     # Bracket the first sign change by outward marching.
     t_lo, t_hi = 0.0, 0.25
@@ -290,7 +315,6 @@ def scan_grid(
     b_range: tuple[float, float],
     d: float,
     resolution: tuple[int, int],
-    tol: float = DEFAULT_MARGIN_TOL,
 ) -> GridScan:
     """Membership grid over a rectangle in the a-b plane at fixed d.
 
@@ -303,21 +327,12 @@ def scan_grid(
     na, nb = resolution
     if na < 1 or nb < 1:
         raise ValueError("resolution counts must be >= 1")
-    _require_positive(tolerance=tol)
     _require_finite(a=a_range[0], b=b_range[0], d=d)
     _require_finite(a=a_range[1], b=b_range[1])
     a_values = np.linspace(a_range[0], a_range[1], na)
     b_values = np.linspace(b_range[0], b_range[1], nb)
-    A, B, margin = _margins(a_values[:, None], b_values[None, :], d)
-    return GridScan(a_values, b_values, A, B, margin, margin >= -tol)
-
-
-def _margins(a, b, d):
-    """A, B and :func:`in_domain`'s margin over arrays, cell for cell bit-identical."""
-    import numpy as np
-
-    A, B = _reduced_AB(a, b, d)
-    return A, B, np.minimum(np.minimum(A, A * A - B), B)
+    cells = _margins(a_values[:, None], b_values[None, :], d, np.minimum)
+    return GridScan(a_values, b_values, *cells)
 
 
 def _hyperbola_polyline(center: tuple[float, float], d2: float) -> list[np.ndarray]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from quasih.domain import _polymul, _real_roots, in_domain
-from quasih.model import _require_finite, build_alpha
+from quasih.model import _require_finite
 
 #: Supported truncation orders of the band series.
 SERIES_ORDERS = (2, 4, 6)
@@ -151,26 +151,16 @@ def series_scaling_check(
 def critical_strength() -> tuple[float, float]:
     """Critical band coupling and collision energy (sqrt(2/5), sqrt(13/5)).
 
-    Self-checks that the discriminant 5a^4 - 12a^2 + 4 vanishes there and
-    that the numeric spectrum consists of two doubly degenerate levels.
+    Self-checks that the discriminant 5a^4 - 12a^2 + 4 vanishes there.  The
+    spectrum at that coupling, two doubly degenerate levels at
+    +-sqrt(13/5), is a fixed matrix's and is checked by the test suite, not
+    on each call, so this loads no numpy.
     """
-    from quasih.spectrum import numeric_energies
-
     alpha_cs = math.sqrt(0.4)
-    e_cs = math.sqrt(2.6)
     disc = 5.0 * alpha_cs**4 - 12.0 * alpha_cs**2 + 4.0
     if abs(disc) > 1e-12:
         raise RuntimeError(f"discriminant check failed: {disc}")
-    energies = sorted(numeric_energies(build_alpha(alpha_cs)).energies, key=lambda z: z.real)
-    pairs_ok = (
-        abs(energies[0] - energies[1]) < 1e-6
-        and abs(energies[2] - energies[3]) < 1e-6
-        and abs(energies[0].real + e_cs) < 1e-6
-        and abs(energies[3].real - e_cs) < 1e-6
-    )
-    if not pairs_ok:
-        raise RuntimeError("degenerate-pair check failed at the critical strength")
-    return alpha_cs, e_cs
+    return alpha_cs, math.sqrt(2.6)
 
 
 def _spike_coords(t, coef_a, coef_c, corner):

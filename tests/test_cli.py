@@ -16,7 +16,6 @@ import quasih.domain
 import quasih.metric
 import quasih.spectrum
 from quasih.cli import MAX_PROFILE_POINTS, MAX_SCAN_CELLS, _parser, dim_domain, main
-from quasih.domain import DEFAULT_MARGIN_TOL
 from quasih.metric import DEFAULT_RANK_TOL
 from quasih.spectrum import DEFAULT_REALITY_TOL
 
@@ -65,9 +64,6 @@ def test_tolerance_defaults_are_the_librarys():
     # The parser spells them out so that it loads no numpy.
     parse = _parser().parse_args
     assert parse(["spectrum", "--alpha", "0"]).tol == DEFAULT_REALITY_TOL
-    assert parse(["scan", "--d2", "1"]).tol == DEFAULT_MARGIN_TOL
-    boundary = ["boundary", "--center", "0", "0", "--direction", "1", "0", "--d", "0"]
-    assert parse(boundary).tol == DEFAULT_MARGIN_TOL
     assert parse(["metric", "--alpha", "0"]).rank_tol == DEFAULT_RANK_TOL
 
 
@@ -189,8 +185,9 @@ def test_config_file_precedence(tmp_path, capsys):
 
 def test_cached_parser_keeps_no_config_between_calls(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("d2 = 0.3\nrange = -1:1:-1:1\nres = 3x3\ntol = 0.5\n")
-    _, with_config = run(capsys, "scan", "--config", str(cfg))
+    cfg.write_text("d2 = 0.3\nrange = -1:1:-1:1\nres = 3x3\n")
+    code, with_config = run(capsys, "scan", "--config", str(cfg))
+    assert code == 0
     hits = _parser.cache_info().hits
     _, after_config = run(capsys, "scan", "--d2", "1.6")
     assert _parser.cache_info().hits == hits + 1
@@ -227,7 +224,8 @@ def test_config_supplies_a_required_option_a_list_and_a_switch(tmp_path, capsys)
         # A prefix of --d2 is not a key, though argparse takes `--d` for it.
         ("d = 1.6", "error: quasih scan has no config key 'd'\n"),
         ("config = other.cfg", "error: quasih scan has no config key 'config'\n"),
-        ("tol = nan", "error: tolerance must be positive and finite, got nan\n"),
+        # Membership has no tolerance: the margin's rounding bound decides.
+        ("tol = 1e-9", "error: quasih scan has no config key 'tol'\n"),
         ("d2 = x", "error: argument --d2: invalid float value: 'x'\n"),
     ],
 )
@@ -289,14 +287,11 @@ def test_missing_files_are_one_line_usage_errors(tmp_path, capsys, argv):
     "argv",
     [
         ["spectrum", "--alpha", "0.9", "--tol", "nan"],
-        ["scan", "--d2", "1", "--res", "3x3", "--tol", "nan"],
-        ["boundary", "--center", "0", "0", "--direction", "1", "0", "--d", "0.5", "--tol", "nan"],
         ["metric", "--alpha", "0.3", "--rank-tol", "nan"],
     ],
 )
 def test_nan_tolerance_is_a_usage_error(capsys, argv):
-    # spectrum printed "AllReal" for max_imag 1.22, scan marked every cell
-    # outside and metric reported dim 0.
+    # spectrum printed "AllReal" for max_imag 1.22 and metric reported dim 0.
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be positive and finite" in err
@@ -304,7 +299,13 @@ def test_nan_tolerance_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["pmn", "--d2", "1", "--tol", "1e-6"], ["dim", "--n", "4", "--tol", "1e-6"]]
+    "argv",
+    [
+        ["pmn", "--d2", "1", "--tol", "1e-6"],
+        ["dim", "--n", "4", "--tol", "1e-6"],
+        ["scan", "--d2", "1", "--res", "3x3", "--tol", "1e-6"],
+        ["boundary", "--center", "0", "0", "--direction", "1", "0", "--d", "0.5", "--tol", "1e-6"],
+    ],
 )
 def test_tol_only_where_it_is_used(capsys, argv):
     assert main(argv) == 2

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import math
 import random
 from fractions import Fraction
@@ -25,7 +27,8 @@ from quasih import (
     spike_band_edges,
 )
 import quasih.domain
-from quasih.domain import DEFAULT_MARGIN_TOL, BoundaryTraceError, _real_roots, brentq
+from quasih.cli import main
+from quasih.domain import BoundaryTraceError, _margin_bound, _real_roots, brentq
 from quasih.serialize import csv_rows, grid_csv
 
 finite4 = st.floats(min_value=-4, max_value=4, allow_nan=False)
@@ -88,7 +91,7 @@ def test_rotated_equivalent_to_second_condition(a, b, d):
 @given(a=finite4, b=finite4, d=finite4)
 def test_membership_iff_spectral_reality(a, b, d):
     tol = 1e-9
-    v = in_domain(a, b, d, tol)
+    v = in_domain(a, b, d)
     real = closed_form_energies(a, b, d, tol).classification in (
         Reality.ALL_REAL,
         Reality.REAL_DEGENERATE,
@@ -374,11 +377,83 @@ def test_boundary_ray_at_moderate_d():
 
 @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
 def test_boundary_ray_from_a_center_just_outside(direction):
-    # The margin at the center is -5e-10, within tol, and the first step is
-    # outside too: the center is its own crossing.
-    center = (13.0 / 12.0 + 2.56e-11, 0.0)
-    assert -DEFAULT_MARGIN_TOL < in_domain(*center, 0.5).margin < 0.0
+    # Four ulps past the exit at 13/12 the float margin is negative but within
+    # its rounding bound, so the center counts as inside; the first step is
+    # outside too, and the center is its own crossing.
+    a = 13.0 / 12.0
+    for _ in range(4):
+        a = math.nextafter(a, 2.0)
+    center = (a, 0.0)
+    v = in_domain(*center, 0.5)
+    assert v.inside and v.on_boundary
+    assert -_margin_bound(*center, 0.5) <= v.margin < 0.0
     assert boundary_trace_ray(center, direction, 0.5) == center
+
+
+def test_point_outside_by_more_than_rounding_is_outside():
+    # The margin is -5e-10: far beyond its rounding bound of about 1.7e-13,
+    # and the spectrum there is complex (|Im E| ~ 7.7e-6).  A fixed tolerance
+    # of 1e-9 called the point inside and the ray started from it.
+    center = (13.0 / 12.0 + 2.56e-11, 0.0)
+    v = in_domain(*center, 0.5)
+    assert not v.inside and not v.on_boundary
+    assert closed_form_energies(*center, 0.5).classification is Reality.COMPLEX_PAIRS
+    with pytest.raises(BoundaryTraceError):
+        boundary_trace_ray(center, (1.0, 0.0), 0.5)
+
+
+def exact_margin(a: float, b: float, d: float) -> Fraction:
+    """min(A, A^2 - B, B) at the float inputs, in exact rationals."""
+    a, b, dd = Fraction(a), Fraction(b), Fraction(d) ** 2
+    A = 5 - dd - (a * a + b * b) / 2
+    B = (dd - a * b + 3) ** 2 - (b - 3 * a) ** 2
+    return min(A, A * A - B, B)
+
+
+def assert_margin_within_bound(a: float, b: float, d: float):
+    error = abs(Fraction(in_domain(a, b, d).margin) - exact_margin(a, b, d))
+    assert error <= Fraction(_margin_bound(a, b, d))
+
+
+unit = st.floats(min_value=-1.0, max_value=1.0)
+scale = st.sampled_from([10.0**k for k in range(-3, 4)])
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(a=unit, b=unit, d=unit, sa=scale, sb=scale, sd=scale)
+def test_margin_bound_covers_the_rounding_error(a, b, d, sa, sb, sd):
+    assert_margin_within_bound(a * sa, b * sb, d * sd)
+
+
+def fig2_points(argv) -> list[tuple[float, float]]:
+    """The (a, c) points of a fig2 CSV."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return [tuple(map(float, row.split(",")[:2])) for row in out.getvalue().splitlines()[1:]]
+
+
+def test_margin_bound_covers_the_rounding_error_near_the_boundary():
+    # Every cell within 1e-6 of the boundary in four 401^2 scans and in the
+    # fig2 grids, where the float margin cancels most.
+    cells = []
+    for d2 in (1.6, 0.3, 0.01, 1.0):
+        grid = scan_grid((-4.0, 4.0), (-4.0, 4.0), math.sqrt(d2), (401, 401))
+        i, j = np.nonzero(np.abs(grid.margin) <= 1e-6)
+        cells += [(grid.a_values[k], grid.b_values[m], math.sqrt(d2)) for k, m in zip(i, j)]
+    for argv in (["fig2"], ["fig2", "--t-steps", "3", "--res-a", "11"]):
+        rows = fig2_points(argv)
+        cells += [(a, 0.0, c) for a, c in rows if abs(in_domain(a, 0.0, c).margin) <= 1e-6]
+    assert len(cells) >= 40
+    for a, b, d in cells:
+        assert_margin_within_bound(float(a), float(b), float(d))
+
+
+@pytest.mark.parametrize("point", [(1e200, 0.0, 0.0), (0.0, 0.0, 1e160)])
+def test_overflowing_bound_is_outside_and_off_the_boundary(point):
+    # A is -inf here; an unguarded abs(-inf) <= inf put the point on the boundary.
+    v = in_domain(*point)
+    assert not v.inside and not v.on_boundary
 
 
 def mp_ray_exit(ux: float, uy: float, d: float):
@@ -478,7 +553,7 @@ def test_scan_grid_single_point_matches_in_domain():
     v = in_domain(0.3, -0.2, 0.5)
     assert (grid.A[0, 0], grid.B[0, 0], grid.margin[0, 0]) == (v.A, v.B, v.margin)
     assert grid.inside[0, 0] == v.inside
-    assert (abs(grid.margin[0, 0]) <= DEFAULT_MARGIN_TOL) == v.on_boundary
+    assert grid.on_boundary[0, 0] == v.on_boundary
 
 
 def test_scan_grid_inside_region_contained_in_circle_and_B_region():
@@ -498,16 +573,16 @@ def test_scan_grid_inside_region_contained_in_circle_and_B_region():
     b_range=st.tuples(finite4, finite4),
     d=st.floats(min_value=0, max_value=2.5),
     resolution=st.tuples(st.integers(1, 6), st.integers(1, 6)),
-    tol=st.sampled_from([1e-12, DEFAULT_MARGIN_TOL, 1e-3]),
 )
-def test_scan_grid_cells_equal_scalar_in_domain(a_range, b_range, d, resolution, tol):
-    grid = scan_grid(a_range, b_range, d, resolution, tol)
+def test_scan_grid_cells_equal_scalar_in_domain(a_range, b_range, d, resolution):
+    grid = scan_grid(a_range, b_range, d, resolution)
     for i, a in enumerate(grid.a_values.tolist()):
         for j, b in enumerate(grid.b_values.tolist()):
-            v = in_domain(a, b, d, tol)
+            v = in_domain(a, b, d)
             cell = (grid.A[i, j], grid.B[i, j], grid.margin[i, j])
             assert [float(x).hex() for x in cell] == [x.hex() for x in (v.A, v.B, v.margin)]
             assert grid.inside[i, j] == v.inside
+            assert grid.on_boundary[i, j] == v.on_boundary
 
 
 def per_cell_csv(grid) -> str:
@@ -550,9 +625,7 @@ def test_scan_grid_rejects_zero_size():
         scan_grid((-1, 1), (-1, 1), 0.0, (0, 3))
 
 
-def test_scan_grid_rejects_bad_tolerance_and_non_finite_inputs():
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        scan_grid((-1, 1), (-1, 1), 0.0, (3, 3), tol=0.0)
+def test_scan_grid_rejects_non_finite_inputs():
     with pytest.raises(ValueError, match="a must be finite"):
         scan_grid((-math.inf, 1), (-1, 1), 0.0, (3, 3))
     with pytest.raises(ValueError, match="b must be finite"):

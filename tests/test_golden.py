@@ -142,6 +142,7 @@ SCALAR = [
     "boundary_center_0_0_direction_1_0.3_d_0.5.json",
     "perturb_series_e3_order_6_alpha_0.3.json",
     "perturb_spike_0.3_0.3_0.01.json",
+    "perturb_critical.json",
 ]
 USAGE_ERRORS = [
     ["pmn", "--d2", "7"],

@@ -15,9 +15,7 @@ from quasih import (
     build_two_state,
     classify_reality,
     harmonic_diag,
-    in_domain,
     metric_nullspace,
-    scan_grid,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -182,8 +180,6 @@ def test_harmonic_diag_rejects_empty():
 
 TOLERANCE_TAKERS = {
     "classify_reality": lambda tol: classify_reality([1.0, 1j], tol),
-    "in_domain": lambda tol: in_domain(0.0, 0.0, 0.5, tol),
-    "scan_grid": lambda tol: scan_grid((-1.0, 1.0), (-1.0, 1.0), 0.5, (2, 2), tol),
     "metric_nullspace": lambda tol: metric_nullspace(np.eye(4), tol),
 }
 
@@ -192,6 +188,6 @@ TOLERANCE_TAKERS = {
 @pytest.mark.parametrize("name", sorted(TOLERANCE_TAKERS))
 def test_tolerances_must_be_positive_and_finite(name, tol):
     # NaN passed the old `tol <= 0` test: classify_reality called a spectrum
-    # with |Im E| = 1 AllReal, and every domain verdict came out outside.
+    # with |Im E| = 1 AllReal.
     with pytest.raises(ValueError, match="must be positive and finite"):
         TOLERANCE_TAKERS[name](tol)
