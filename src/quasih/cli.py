@@ -27,8 +27,9 @@ line on stderr.  The ``QUASIH_THREADS`` environment variable is accepted
 and ignored: the grid scan is one numpy evaluation.
 
 Each subcommand imports the library modules it uses when it runs, so
-``dim``, ``pmn``, ``boundary`` and ``perturb`` (``--critical``,
-``--series`` or ``--spike``) load no numpy.
+``dim``, ``pmn``, ``boundary``, ``fig1`` and ``perturb`` (``--critical``,
+``--series`` or ``--spike``) load no numpy; the others hand plain values
+(``.tolist()``) to :mod:`quasih.serialize`, which imports no numpy.
 """
 
 from __future__ import annotations
@@ -43,15 +44,11 @@ from pathlib import Path
 from typing import NoReturn
 
 from quasih import __version__
-from quasih.serialize import csv_rows, grid_csv, json_dumps, matrix_to_json_dict
+from quasih.model import DEFAULT_RANK_TOL, DEFAULT_REALITY_TOL, _require_finite
+from quasih.serialize import csv_text, flags, floats, json_dumps, matrix_to_json_dict
 
-#: Defaults of ``--tol`` and ``--rank-tol``: spectrum.DEFAULT_REALITY_TOL and
-#: metric.DEFAULT_RANK_TOL, as a test checks.  They are spelled out because
-#: spectrum and metric load numpy.
-DEFAULT_TOL, DEFAULT_RANK_TOL = 1e-9, 1e-10
-
-#: Largest scan grid, in cells: 2000x2000.  A grid holds several float64
-#: arrays of this size and its CSV one row per cell.
+#: Largest scan or fig2 grid, in cells: 2000x2000.  A grid holds several
+#: float64 arrays of this size and its CSV one row per cell.
 MAX_SCAN_CELLS = 4_000_000
 
 #: Most points in a ``metric --profile`` sweep.  Each point is one positivity
@@ -96,7 +93,7 @@ def _with_config(argv: list[str], parser: _Parser) -> list[str]:
     if path is None or argv[0] not in parser.subcommands:
         return argv
     command = parser.subcommands[argv[0]]
-    flags = []
+    from_file = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -109,12 +106,12 @@ def _with_config(argv: list[str], parser: _Parser) -> list[str]:
         if action is None or flag in ("--config", "--help"):
             raise ValueError(f"{command.prog} has no config key {key!r}")
         if action.nargs != 0:
-            flags += [flag, *(value.split() if action.nargs else [value])]
+            from_file += [flag, *(value.split() if action.nargs else [value])]
         elif value not in ("true", "false"):
             raise ValueError(f"config key {key!r} takes true or false")
         elif value == "true":
-            flags.append(flag)
-    return [argv[0], *flags, *argv[1:]]
+            from_file.append(flag)
+    return [argv[0], *from_file, *argv[1:]]
 
 
 def _emit(args, text: str) -> None:
@@ -203,9 +200,9 @@ def _cmd_scan(args) -> str:
         raise ValueError(f"resolution {na}x{nb} exceeds {MAX_SCAN_CELLS} cells")
     with np.errstate(over="raise", invalid="raise"):  # a huge --d2 overflows A^2 - B
         grid = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res)
-    return grid_csv(
-        ["a", "b", "inside", "margin"], grid.a_values, grid.b_values, grid.inside, grid.margin
-    )
+    a, b = floats(grid.a_values.tolist()), floats(grid.b_values.tolist())
+    columns = [x for x in a for _ in b], b * len(a), flags(grid.inside.ravel().tolist())
+    return csv_text(["a", "b", "inside", "margin"], *columns, floats(grid.margin.ravel().tolist()))
 
 
 def _cmd_boundary(args) -> str:
@@ -244,8 +241,8 @@ def _cmd_metric(args) -> str:
 
     if args.profile is not None:
         lo, hi, n = args.profile
-        profile = boundary_degeneracy_profile(np.linspace(lo, hi, n))
-        return csv_rows(["alpha", "min_eig"], profile)
+        alphas, values = zip(*boundary_degeneracy_profile(np.linspace(lo, hi, n).tolist()))
+        return csv_text(["alpha", "min_eig"], floats(alphas), floats(values))
 
     fam = metric_nullspace(_matrix(args), args.rank_tol)
     doc = {"dim": fam.dim, "residual": fam.residual}
@@ -320,12 +317,14 @@ def _cmd_fig2(args) -> str:
     import numpy as np
 
     from quasih.domain import _margins
-    from quasih.model import _require_finite
     from quasih.perturb import SpikeAnsatz, _spike_coords
 
     for flag, count in (("t-steps", args.t_steps), ("res-a", args.res_a)):
         if count < 1:
             raise ValueError(f"{flag} must be >= 1")
+    if args.t_steps * args.res_a > MAX_SCAN_CELLS:
+        grid = f"{args.t_steps}x{args.res_a}"
+        raise ValueError(f"t-steps x res-a = {grid} exceeds {MAX_SCAN_CELLS} cells")
     _require_finite(**{"--coef-c": args.coef_c, "--t-max": args.t_max})
     if args.t_max < 0.0:
         raise ValueError("--t-max: spike parameter t must be non-negative")
@@ -337,7 +336,8 @@ def _cmd_fig2(args) -> str:
         coef_a = np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a)
         a, c = np.broadcast_arrays(*_spike_coords(t, coef_a, args.coef_c, corner))
         inside = _margins(a, 0.0, c, np.minimum)[3]
-    return csv_rows(["a", "c", "inside"], zip(a.flat, c.flat, inside.flat))
+    a, c, inside = (cells.ravel().tolist() for cells in (a, c, inside))
+    return csv_text(["a", "c", "inside"], floats(a), floats(c), flags(inside))
 
 
 def _cmd_dim(args) -> str:
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("spectrum", _cmd_spectrum, "energies of a selected model matrix")
     _model_flags(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="reality tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_REALITY_TOL, help="reality tolerance")
 
     p = command("scan", _cmd_scan, "membership grid over the a-b plane")
     p.add_argument("--d2", type=float, required=True, help="fixed c^2 = d^2 value")

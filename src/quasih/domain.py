@@ -10,8 +10,8 @@ d^2 = (b-3)(a+1).  They are the real roots of one quartic, which
 :func:`_real_roots` isolates between the real roots of its derivatives
 and refines with :func:`brentq`, which also refines the spike edges in
 :mod:`quasih.perturb` and the exit that a boundary ray's march brackets.
-All of this is plain float and integer arithmetic; only the grid scan and
-the figure polylines use numpy, which they import when called.
+All of this, the figure polylines included, is plain float and integer
+arithmetic; only the grid scan uses numpy, which it imports when called.
 """
 
 from __future__ import annotations
@@ -335,27 +335,31 @@ def scan_grid(
     return GridScan(a_values, b_values, *cells)
 
 
-def _hyperbola_polyline(center: tuple[float, float], d2: float) -> list[np.ndarray]:
+def _hyperbola_polyline(center: tuple[float, float], d2: float) -> list[list[list[float]]]:
     """Two branches of the locus d^2 = (b - b0)(a - a0) as polylines.
 
     Parameterized as a = a0 + u, b = b0 + d2/u with branch parameter
-    u != 0; the two signs of u give the two branches, each 400 points
-    with |u| geometric from d2/18 to 8.
+    u != 0; the two signs of u give the two branches, each a list of 400
+    [a, b] points with |u| geometric from d2/18 to 8.  The steps are those
+    of numpy.geomspace (10 ** (k * step + log10(d2/18)), exact ends) in
+    plain floats, so the bits do not depend on numpy's SIMD kernels.
     """
-    import numpy as np
-
     a0, b0 = center
-    u = np.geomspace(d2 / 18.0, 8.0, 400)
-    return [np.column_stack([a0 + s * u, b0 + d2 / (s * u)]) for s in (1.0, -1.0)]
+    lo, hi = d2 / 18.0, 8.0
+    log_lo = math.log10(lo)
+    step = (math.log10(hi) - log_lo) / 399
+    u = [lo, *(10.0 ** (k * step + log_lo) for k in range(1, 399)), hi]
+    return [[[a0 + s * x, b0 + d2 / (s * x)] for x in u] for s in (1.0, -1.0)]
 
 
 def figure1_geometry(d2: float) -> dict:
     """Geometry of the PMN construction at fixed d^2.
 
-    Returns the circle radius sqrt(10 - 2 d^2), 400-point polylines of
-    each branch of the two hyperbola loci d^2 = (b+3)(a-1) and
-    d^2 = (b-3)(a+1) (asymptotes crossing at (1, -3) and (-1, 3)), and
-    the circle-hyperbola intersections, which are :func:`pmn_points`.
+    Returns the circle radius sqrt(10 - 2 d^2), 400-point polylines
+    (lists of [a, b] pairs) of each branch of the two hyperbola loci
+    d^2 = (b+3)(a-1) and d^2 = (b-3)(a+1) (asymptotes crossing at (1, -3)
+    and (-1, 3)), and the circle-hyperbola intersections, which are
+    :func:`pmn_points`.
     """
     intersections = pmn_points(d2)
     hyperbolas = [

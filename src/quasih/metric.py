@@ -28,11 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quasih.model import _require_finite, _require_positive, build_alpha
+from quasih.model import DEFAULT_RANK_TOL, _require_finite, _require_positive, build_alpha
 from quasih.spectrum import _finite_square
-
-#: Default relative SVD threshold for nullspace rank decisions.
-DEFAULT_RANK_TOL = 1e-10
 
 #: Largest matrix dimension accepted by the nullspace solver.
 MAX_NULLSPACE_DIM = 16

@@ -15,6 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: Default absolute tolerance on |Im E| for reality decisions (quasih.spectrum).
+DEFAULT_REALITY_TOL = 1e-9
+
+#: Default relative SVD threshold for nullspace rank decisions (quasih.metric).
+DEFAULT_RANK_TOL = 1e-10
+
 
 def _require_finite(**values: float) -> None:
     for name, v in values.items():

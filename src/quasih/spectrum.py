@@ -19,11 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from quasih.model import _require_finite, _require_positive
+from quasih.model import DEFAULT_REALITY_TOL, _require_finite, _require_positive
 from quasih.secular import reduced_AB
-
-#: Default absolute tolerance on |Im E| for reality decisions.
-DEFAULT_REALITY_TOL = 1e-9
 
 #: Largest matrix dimension accepted by the numeric solver.
 MAX_DIM = 64

@@ -14,6 +14,7 @@ import pytest
 import quasih.cli
 import quasih.domain
 import quasih.metric
+import quasih.perturb
 import quasih.spectrum
 from quasih.cli import MAX_PROFILE_POINTS, MAX_SCAN_CELLS, _parser, dim_domain, main
 from quasih.metric import DEFAULT_RANK_TOL
@@ -147,10 +148,11 @@ def test_scan_accepts_a_grid_at_the_cell_cap(capsys, monkeypatch):
 
     def scan_grid(*args):
         calls.append(args)
-        return SimpleNamespace(a_values=[], b_values=[], inside=[], margin=[])
+        empty = np.zeros(0)
+        return SimpleNamespace(a_values=empty, b_values=empty, inside=empty, margin=empty)
 
     monkeypatch.setattr(quasih.domain, "scan_grid", scan_grid)
-    monkeypatch.setattr(quasih.cli, "grid_csv", lambda *args: "")
+    monkeypatch.setattr(quasih.cli, "csv_text", lambda *args: "")
     assert main(["scan", "--d2", "1", "--res", "2000x2000"]) == 0
     assert calls[0][3] == (2000, 2000) and 2000 * 2000 == MAX_SCAN_CELLS
 
@@ -682,6 +684,32 @@ def test_fig2_rejects_fewer_than_one_a_point(capsys):
     # --res-a 0 printed a CSV with only its header and exited 0.
     assert main(["fig2", "--res-a", "0"]) == 2
     assert capsys.readouterr() == ("", "error: res-a must be >= 1\n")
+
+
+@pytest.mark.parametrize("grid", ["2001x2000", "20000x20000"])
+def test_fig2_rejects_grids_above_the_cell_cap(grid, capsys, monkeypatch):
+    # Without the cap the grid was built, and a huge one ended in a MemoryError traceback.
+    def spike_coords(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(quasih.perturb, "_spike_coords", spike_coords)
+    t_steps, res_a = grid.split("x")
+    assert main(["fig2", "--t-steps", t_steps, "--res-a", res_a]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t-steps x res-a = ") and err.count("\n") == 1
+
+
+def test_fig2_accepts_a_grid_at_the_cell_cap(capsys, monkeypatch):
+    shapes = []
+
+    def spike_coords(t, coef_a, coef_c, corner):
+        shapes.append((t.shape, coef_a.shape))
+        return np.zeros(1), np.zeros(1)
+
+    monkeypatch.setattr(quasih.perturb, "_spike_coords", spike_coords)
+    monkeypatch.setattr(quasih.cli, "csv_text", lambda *args: "")
+    assert main(["fig2", "--t-steps", "2000", "--res-a", "2000"]) == 0
+    assert shapes == [((2000, 1), (2000,))] and 2000 * 2000 == MAX_SCAN_CELLS
 
 
 def test_dim_values(capsys):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -26,10 +27,10 @@ from quasih import (
     scan_grid,
     spike_band_edges,
 )
+import quasih.cli
 import quasih.domain
 from quasih.cli import main
 from quasih.domain import BoundaryTraceError, _margin_bound, _real_roots, brentq
-from quasih.serialize import csv_rows, grid_csv
 
 finite4 = st.floats(min_value=-4, max_value=4, allow_nan=False)
 
@@ -586,15 +587,14 @@ def test_scan_grid_cells_equal_scalar_in_domain(a_range, b_range, d, resolution)
 
 
 def per_cell_csv(grid) -> str:
-    """Reference: csv_rows over the zipped per-cell rows (a, b, inside, margin)."""
-    na, nb = grid.margin.shape
-    rows = zip(
-        np.repeat(grid.a_values, nb).tolist(),
-        np.tile(grid.b_values, na).tolist(),
-        grid.inside.ravel().tolist(),
-        grid.margin.ravel().tolist(),
-    )
-    return csv_rows(["a", "b", "inside", "margin"], rows)
+    """Reference: one row (a, b, inside, margin) per cell, a-major, each
+    cell formatted on its own."""
+    lines = ["a,b,inside,margin"]
+    for i, a in enumerate(grid.a_values.tolist()):
+        for j, b in enumerate(grid.b_values.tolist()):
+            inside = "1" if grid.inside[i, j] else "0"
+            lines.append(f"{a:.17g},{b:.17g},{inside},{float(grid.margin[i, j]):.17g}")
+    return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
@@ -607,17 +607,10 @@ def per_cell_csv(grid) -> str:
 # Axes through -0.0 and 0.0, which print as "-0" and "0".
 @example(a_range=(2.0, -0.0), b_range=(-1.0, 1.0), d=0.5, resolution=(3, 5))
 @example(a_range=(0.0, -0.0), b_range=(-0.0, 0.0), d=0.0, resolution=(2, 2))
-def test_grid_csv_equals_per_cell_rows(a_range, b_range, d, resolution):
-    grid = scan_grid(a_range, b_range, d, resolution)
-    header = ["a", "b", "inside", "margin"]
-    text = grid_csv(header, grid.a_values, grid.b_values, grid.inside, grid.margin)
-    assert text == per_cell_csv(grid)
-
-
-def test_grid_csv_rejects_cells_of_the_wrong_shape():
-    with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
-        grid_csv(["a", "b", "inside", "margin"], [0.0, 1.0], [0.0, 1.0, 2.0],
-                 np.ones((3, 2), dtype=bool), np.zeros((3, 2)))
+def test_scan_csv_equals_per_cell_rows(a_range, b_range, d, resolution):
+    args = argparse.Namespace(d2=d * d, range=(*a_range, *b_range), res=resolution)
+    grid = scan_grid(a_range, b_range, math.sqrt(d * d), resolution)
+    assert quasih.cli._cmd_scan(args) == per_cell_csv(grid)
 
 
 def test_scan_grid_rejects_zero_size():
@@ -652,3 +645,19 @@ def test_figure1_branches_lie_on_their_locus():
         for branch in hyp["branches"]:
             for a, b in branch[::50]:
                 assert abs(hyperbola_factors(a, b)[which] - 0.9) < 1e-9
+
+
+@pytest.mark.parametrize("d2", [0.05, 0.9, 1.6, 2.5, 4.9])
+def test_figure1_polylines_take_numpy_geomspace_steps(d2):
+    # The same operations as np.geomspace in plain floats: equal up to the
+    # last-bit differences of numpy's SIMD log10 and power, exact at the ends.
+    u = np.geomspace(d2 / 18.0, 8.0, 400).tolist()
+    for hyp in figure1_geometry(d2)["hyperbolas"]:
+        a0, b0 = hyp["center"]
+        for s, branch in zip((1.0, -1.0), hyp["branches"]):
+            assert len(branch) == 400
+            assert branch[0] == [a0 + s * u[0], b0 + d2 / (s * u[0])]
+            assert branch[-1] == [a0 + s * u[-1], b0 + d2 / (s * u[-1])]
+            for (a, _), x in zip(branch, u):
+                # u off by an ulp of u, then each sum rounded once.
+                assert abs(a - (a0 + s * x)) <= math.ulp(x) + 2.0 * math.ulp(a0 + s * x)

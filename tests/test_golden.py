@@ -143,6 +143,7 @@ SCALAR = [
     "perturb_series_e3_order_6_alpha_0.3.json",
     "perturb_spike_0.3_0.3_0.01.json",
     "perturb_critical.json",
+    "fig1_d2_1.6.json",
 ]
 USAGE_ERRORS = [
     ["pmn", "--d2", "7"],
