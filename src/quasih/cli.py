@@ -13,9 +13,11 @@ file (``--config``) is a flat ``key = value`` text file whose keys are
 the subcommand's long options with dashes replaced by underscores; a
 switch such as ``basis`` takes ``true`` or ``false``.  Its lines are read
 as ``--key value`` flags right after the subcommand, so flags on the
-command line win and config values pass the same checks.  ``--tol``
-exists only on spectrum, which uses it.  Options are
-spelled in full: a prefix such as ``--d`` for ``--d2`` is an error.
+command line win and config values pass the same checks.  Numerical
+thresholds are module constants, not options, and a flag that the mode
+would ignore (``perturb --alpha`` without ``--series``, ``metric
+--profile`` with ``--basis``) is an error.  Options are spelled in full:
+a prefix such as ``--d`` for ``--d2`` is an error.
 Negative numbers in any form (``-8.4e-05``, ``-inf``) and ``--range
 -4:4:-4:4`` are values, never option strings.
 
@@ -44,7 +46,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from quasih import __version__
-from quasih.model import DEFAULT_RANK_TOL, DEFAULT_REALITY_TOL, _require_finite
+from quasih.model import _require_finite
 from quasih.serialize import csv_text, flags, floats, json_dumps, matrix_to_json_dict
 
 #: Largest scan or fig2 grid, in cells: 2000x2000.  A grid holds several
@@ -178,7 +180,7 @@ def _cmd_spectrum(args) -> str:
     from quasih.spectrum import numeric_energies
 
     h = _matrix(args)
-    spec = numeric_energies(h, args.tol)
+    spec = numeric_energies(h)
     doc = {
         "energies": spec.energies,
         "classification": spec.classification.value,
@@ -240,11 +242,13 @@ def _cmd_metric(args) -> str:
     from quasih.metric import boundary_degeneracy_profile, find_positive, metric_nullspace
 
     if args.profile is not None:
+        if args.basis or args.positivity:
+            raise ValueError("--profile excludes --basis and --positivity")
         lo, hi, n = args.profile
         alphas, values = zip(*boundary_degeneracy_profile(np.linspace(lo, hi, n).tolist()))
         return csv_text(["alpha", "min_eig"], floats(alphas), floats(values))
 
-    fam = metric_nullspace(_matrix(args), args.rank_tol)
+    fam = metric_nullspace(_matrix(args))
     doc = {"dim": fam.dim, "residual": fam.residual}
     if args.basis:
         doc["basis"] = [matrix_to_json_dict(e) for e in fam.basis]
@@ -269,6 +273,8 @@ def _cmd_perturb(args) -> str:
         spike_point,
     )
 
+    if args.series is None and (args.alpha is not None or args.order is not None):
+        raise ValueError("--alpha and --order need --series")
     doc = {}
     if args.critical:
         alpha_cs, e_cs = critical_strength()
@@ -374,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("spectrum", _cmd_spectrum, "energies of a selected model matrix")
     _model_flags(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_REALITY_TOL, help="reality tolerance")
 
     p = command("scan", _cmd_scan, "membership grid over the a-b plane")
     p.add_argument("--d2", type=float, required=True, help="fixed c^2 = d^2 value")
@@ -398,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="A0:A1:N",
         help="alpha sweep CSV of best min eigenvalues (instead of a model)",
     )
-    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--basis", action="store_true", help="emit all basis matrices")
     p.add_argument("--positivity", action="store_true", help="emit a positivity certificate")
 

@@ -28,11 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quasih.model import DEFAULT_RANK_TOL, _require_finite, _require_positive, build_alpha
-from quasih.spectrum import _finite_square
+from quasih.model import _require_finite, build_alpha
+from quasih.spectrum import REALITY_TOL, _finite_square
 
 #: Largest matrix dimension accepted by the nullspace solver.
 MAX_NULLSPACE_DIM = 16
+
+#: Relative rank threshold: singular values at or below RANK_TOL * sigma_max
+#: count as zero, far above the SVD's rounding (about 1e-16 * sigma_max).
+RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -81,21 +85,17 @@ def _equation_residual(h: np.ndarray, theta: np.ndarray) -> float:
     return num / den
 
 
-def metric_nullspace(h: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> MetricFamily:
+def metric_nullspace(h: np.ndarray) -> MetricFamily:
     """Basis of all real symmetric Theta with H^T Theta = Theta H.
 
     The map Theta -> H^T Theta - Theta H is assembled over the
     n(n+1)/2-dimensional symmetric sector and its nullspace is taken at
-    singular values below rank_tol * sigma_max.  Near the domain
-    boundary the nullspace is ill-conditioned, hence the threshold
-    (below 1).  The map and the residual use H scaled by a power of two
-    to largest entry in [1/2, 1): exact, as the equation is homogeneous.
+    singular values at or below RANK_TOL * sigma_max.  Near the domain
+    boundary the nullspace is ill-conditioned, hence the threshold.  The
+    map and the residual use H scaled by a power of two to largest entry
+    in [1/2, 1): exact, as the equation is homogeneous.
     """
     h = _finite_square(h, MAX_NULLSPACE_DIM)
-    _require_positive(rank_tol=rank_tol)
-    if rank_tol >= 1.0:
-        raise ValueError(f"rank_tol must be below 1, got {rank_tol!r}")
-
     scaled = np.ldexp(h, -math.frexp(np.max(np.abs(h)))[1])
     stack = _sym_basis(len(h))
     k = np.column_stack([(scaled.T @ e - e @ scaled).ravel() for e in stack])
@@ -103,7 +103,7 @@ def metric_nullspace(h: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Metri
     # value; with sigma_max = 0 every row is kept.
     _, sigma, vt = np.linalg.svd(k)
     family = []
-    for vec in vt[sigma <= rank_tol * sigma[0]]:
+    for vec in vt[sigma <= RANK_TOL * sigma[0]]:
         theta = _candidate(stack, vec)  # exactly symmetric, as each E_ij is
         family.append(theta / np.max(np.abs(theta)))
     residual = max((_equation_residual(scaled, theta) for theta in family), default=0.0)
@@ -261,7 +261,7 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
     candidates = []
     # Left eigenvectors of H (u^T H = E u^T) are the eigenvectors of H^T.
     w, u = np.linalg.eig(fam.h.T)
-    real = np.abs(w.imag) < 1e-9
+    real = np.abs(w.imag) < REALITY_TOL
     if real.any():
         left = np.real(u[:, real])
         candidates.append(_family_coefficients(fam, left @ left.T))

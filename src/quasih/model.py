@@ -3,7 +3,7 @@
 All constructors are pure and return fresh float64 numpy arrays; nothing is
 cached or mutated, so the results are safe to share between threads.  The
 module loads without numpy, which the constructors import when called: the
-scalar layers use only the validators and :class:`ParamPoint`.
+scalar layers use only the validator and :class:`ParamPoint`.
 
 The library default energy convention is the symmetrized ("shifted")
 unperturbed spectrum (-3, -1, 1, 3); the raw harmonic levels (1, 3, 5, 7)
@@ -15,24 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-#: Default absolute tolerance on |Im E| for reality decisions (quasih.spectrum).
-DEFAULT_REALITY_TOL = 1e-9
-
-#: Default relative SVD threshold for nullspace rank decisions (quasih.metric).
-DEFAULT_RANK_TOL = 1e-10
-
 
 def _require_finite(**values: float) -> None:
     for name, v in values.items():
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
-
-
-def _require_positive(**values: float) -> None:
-    """Reject a tolerance that is not a positive finite number (NaN included)."""
-    for name, v in values.items():
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
 @dataclass(frozen=True)

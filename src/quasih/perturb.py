@@ -36,6 +36,11 @@ from quasih.model import _require_finite
 #: Supported truncation orders of the band series.
 SERIES_ORDERS = (2, 4, 6)
 
+#: Coupling window of :func:`series_scaling_check` and its number of samples,
+#: evenly spaced with the left end left out.
+SERIES_WINDOW = (0.0, 0.25)
+SERIES_SAMPLES = 50
+
 #: Default policy bound on the spike expansion parameter t.
 SPIKE_T_MAX = 0.2
 
@@ -123,10 +128,8 @@ def _band_exact(alpha: float, which: int) -> float:
     return mags[0] if which == 1 else mags[-1]
 
 
-def series_scaling_check(
-    which: int, order: int, window: tuple[float, float] = (0.0, 0.25), n: int = 50
-) -> SeriesCheck:
-    """Measure the truncation error of a band series over a window.
+def series_scaling_check(which: int, order: int) -> SeriesCheck:
+    """Measure the truncation error of a band series over SERIES_WINDOW.
 
     The next omitted term is O(alpha^(order+2)), so halving alpha should
     shrink the error by about 2^(order+2).
@@ -137,14 +140,13 @@ def series_scaling_check(
         raise ValueError("which must be 1 or 3")
     series = band_series_E1 if which == 1 else band_series_E3
     coeffs = _E1_COEFFS if which == 1 else _E3_COEFFS
-    lo, hi = window
-    alphas = np.linspace(lo, hi, n + 1)[1:]
+    alphas = np.linspace(*SERIES_WINDOW, SERIES_SAMPLES + 1)[1:]
     err = max(abs(series(al, order) - _band_exact(al, which)) for al in alphas)
     return SeriesCheck(
         order=order,
         coefficients=tuple(coeffs[k] for k in SERIES_ORDERS if k <= order),
         max_abs_error_over_window=err,
-        window=window,
+        window=SERIES_WINDOW,
     )
 
 

@@ -19,11 +19,15 @@ from itertools import combinations
 
 import numpy as np
 
-from quasih.model import DEFAULT_REALITY_TOL, _require_finite, _require_positive
+from quasih.model import _require_finite
 from quasih.secular import reduced_AB
 
 #: Largest matrix dimension accepted by the numeric solver.
 MAX_DIM = 64
+
+#: Absolute bound on |Im E| and on the pairwise gaps for reality decisions:
+#: far above the rounding of the eigenvalues of an O(1) matrix (about 1e-15).
+REALITY_TOL = 1e-9
 
 
 def _finite_square(h, max_dim: int) -> np.ndarray:
@@ -60,37 +64,34 @@ def _sorted_energies(roots) -> tuple[complex, ...]:
     return tuple(sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag)))
 
 
-def classify_reality(energies, tol: float = DEFAULT_REALITY_TOL) -> Reality:
+def classify_reality(energies) -> Reality:
     """Classify a multiset of energies.
 
-    All-real requires every |Im E| < tol and every pairwise gap > tol;
-    real spectra with a gap at or below tol are degenerate; anything with
-    a larger imaginary part is a complex-pair spectrum.
+    All-real requires every |Im E| < REALITY_TOL and every pairwise gap
+    > REALITY_TOL; real spectra with a gap at or below it are degenerate;
+    anything with a larger imaginary part is a complex-pair spectrum.
     """
-    _require_positive(tolerance=tol)
     zs = [complex(z) for z in energies]
     max_imag = max(abs(z.imag) for z in zs)
-    if max_imag >= tol:
+    if max_imag >= REALITY_TOL:
         return Reality.COMPLEX_PAIRS
     min_gap = min((abs(u - v) for u, v in combinations(zs, 2)), default=math.inf)
-    if min_gap <= tol:
+    if min_gap <= REALITY_TOL:
         return Reality.REAL_DEGENERATE
     return Reality.ALL_REAL
 
 
-def spectrum_from_roots(roots, tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
+def spectrum_from_roots(roots) -> Spectrum:
     """Package raw roots into a sorted, classified :class:`Spectrum`."""
     energies = _sorted_energies(roots)
     return Spectrum(
         energies=energies,
-        classification=classify_reality(energies, tol),
+        classification=classify_reality(energies),
         max_imag=max(abs(z.imag) for z in energies),
     )
 
 
-def closed_form_energies(
-    a: float, b: float, d: float, tol: float = DEFAULT_REALITY_TOL
-) -> Spectrum:
+def closed_form_energies(a: float, b: float, d: float) -> Spectrum:
     """Closed-form energies of the c^2 = d^2 model.
 
     E = +-sqrt(A +- sqrt(A^2 - B)) with principal complex square roots;
@@ -102,10 +103,10 @@ def closed_form_energies(
     for sign_inner in (1.0, -1.0):
         e = cmath.sqrt(A + sign_inner * inner)
         roots.extend([e, -e])
-    return spectrum_from_roots(roots, tol)
+    return spectrum_from_roots(roots)
 
 
-def band_closed_energies(alpha: float, tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
+def band_closed_energies(alpha: float) -> Spectrum:
     """Closed-form energies of the one-parameter band model.
 
     E_{+-1} = +-sqrt(5 - 6 alpha^2 - 2 sqrt(5 alpha^4 - 12 alpha^2 + 4))
@@ -118,12 +119,10 @@ def band_closed_energies(alpha: float, tol: float = DEFAULT_REALITY_TOL) -> Spec
     for sign_inner in (1.0, -1.0):
         e = cmath.sqrt(-6.0 * alpha**2 + 5.0 + 2.0 * sign_inner * disc)
         roots.extend([e, -e])
-    return spectrum_from_roots(roots, tol)
+    return spectrum_from_roots(roots)
 
 
-def quartic_energies(
-    e2: float, e1: float, e0: float, tol: float = DEFAULT_REALITY_TOL
-) -> Spectrum:
+def quartic_energies(e2: float, e1: float, e0: float) -> Spectrum:
     """Roots of the secular quartic E^4 + e2 E^2 + e1 E + e0.
 
     Solved through the companion-matrix eigenvalues (robust, no radical
@@ -132,13 +131,13 @@ def quartic_energies(
     rounding near quadruple degeneracies.
     """
     _require_finite(e2=e2, e1=e1, e0=e0)
-    return spectrum_from_roots(np.roots([1.0, 0.0, e2, e1, e0]), tol)
+    return spectrum_from_roots(np.roots([1.0, 0.0, e2, e1, e0]))
 
 
-def numeric_energies(h: np.ndarray, tol: float = DEFAULT_REALITY_TOL) -> Spectrum:
+def numeric_energies(h: np.ndarray) -> Spectrum:
     """Eigenvalues of a real square matrix as a classified spectrum;
     RuntimeError if one overflows, as at entries near 1e308."""
     roots = np.linalg.eigvals(_finite_square(h, MAX_DIM))
     if not np.all(np.isfinite(roots)):
         raise RuntimeError("eigenvalues overflow the float range")
-    return spectrum_from_roots(roots, tol)
+    return spectrum_from_roots(roots)

@@ -17,8 +17,6 @@ import quasih.metric
 import quasih.perturb
 import quasih.spectrum
 from quasih.cli import MAX_PROFILE_POINTS, MAX_SCAN_CELLS, _parser, dim_domain, main
-from quasih.metric import DEFAULT_RANK_TOL
-from quasih.spectrum import DEFAULT_REALITY_TOL
 
 
 def run(capsys, *argv):
@@ -59,13 +57,6 @@ def test_linalg_error_is_a_numerical_failure(capsys, monkeypatch):
     monkeypatch.setattr(quasih.spectrum, "numeric_energies", numeric_energies)
     assert main(["spectrum", "--alpha", "0.3"]) == 1
     assert capsys.readouterr() == ("", "error: eigenvalues did not converge\n")
-
-
-def test_tolerance_defaults_are_the_librarys():
-    # The parser spells them out so that it loads no numpy.
-    parse = _parser().parse_args
-    assert parse(["spectrum", "--alpha", "0"]).tol == DEFAULT_REALITY_TOL
-    assert parse(["metric", "--alpha", "0"]).rank_tol == DEFAULT_RANK_TOL
 
 
 def test_spectrum_of_huge_finite_couplings_is_unchanged(capsys):
@@ -240,6 +231,19 @@ def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, line, message
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["spectrum", "--alpha", "0.9"], "tol"), (["metric", "--alpha", "0.3"], "rank_tol")],
+)
+def test_config_rejects_threshold_keys(tmp_path, capsys, argv, key):
+    # The reality and rank thresholds are constants: `tol = nan` printed
+    # "AllReal" at max_imag 1.22 and `rank_tol = nan` reported dim 0.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = 1e-9\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: quasih {argv[0]} has no config key {key!r}\n")
+
+
 def test_config_switch_takes_true_or_false(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("basis = yes\n")
@@ -288,30 +292,18 @@ def test_missing_files_are_one_line_usage_errors(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--alpha", "0.9", "--tol", "nan"],
-        ["metric", "--alpha", "0.3", "--rank-tol", "nan"],
-    ],
-)
-def test_nan_tolerance_is_a_usage_error(capsys, argv):
-    # spectrum printed "AllReal" for max_imag 1.22 and metric reported dim 0.
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "must be positive and finite" in err
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
         ["pmn", "--d2", "1", "--tol", "1e-6"],
         ["dim", "--n", "4", "--tol", "1e-6"],
         ["scan", "--d2", "1", "--res", "3x3", "--tol", "1e-6"],
         ["boundary", "--center", "0", "0", "--direction", "1", "0", "--d", "0.5", "--tol", "1e-6"],
+        # The reality and rank thresholds are constants of spectrum and metric.
+        ["spectrum", "--alpha", "0.3", "--tol", "1e-6"],
+        ["metric", "--alpha", "0.3", "--rank-tol", "1e-6"],
     ],
 )
 def test_tol_only_where_it_is_used(capsys, argv):
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: unrecognized arguments: --tol 1e-6\n"
+    assert capsys.readouterr() == ("", f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 def test_metric_profile_needs_at_least_one_point(capsys):
@@ -406,7 +398,7 @@ def test_only_help_and_version_exit(capsys, flag):
     [
         (
             ["metric", "--alpha", "0.3", "--positivity"],
-            {"alpha": 0.3, "rank_tol": 1e-10, "positivity": True},
+            {"alpha": 0.3, "positivity": True},
         ),
         (["perturb", "--critical"], {"critical": True}),
         (
@@ -471,12 +463,6 @@ def test_boundary_non_finite_direction_names_its_component(capsys, direction, me
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_metric_rank_tol_of_one_is_a_usage_error(capsys):
-    # It printed dim 10, the whole symmetric sector, with residual 2.02.
-    assert main(["metric", "--alpha", "0.3", "--rank-tol", "1"]) == 2
-    assert capsys.readouterr().err == "error: rank_tol must be below 1, got 1.0\n"
-
-
 def test_pmn_roundtrip(capsys):
     code, out = run(capsys, "pmn", "--d2", "1.6")
     assert code == 0
@@ -514,10 +500,7 @@ def test_negative_values_in_exponent_form_are_numbers(value, tmp_path):
     "argv, message",
     [
         (["spectrum", "--full", "-inf", "1", "1", "1"], "a must be finite, got -inf"),
-        (
-            ["spectrum", "--alpha", "0.3", "--tol", "-nan"],
-            "tolerance must be positive and finite, got nan",
-        ),
+        (["spectrum", "--alpha", "-nan"], "alpha must be finite, got nan"),
         (["spectrum", "--two-state", "-INF"], "b must be finite, got -inf"),
     ],
 )
@@ -548,6 +531,32 @@ def test_perturb_series_and_critical(capsys):
 def test_perturb_series_requires_alpha_and_order(capsys):
     assert main(["perturb", "--series", "e3"]) == 2
     assert capsys.readouterr().err == "error: --series needs --alpha and --order\n"
+
+
+NEEDS_SERIES = "--alpha and --order need --series"
+PROFILE_ONLY = "--profile excludes --basis and --positivity"
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+@pytest.mark.parametrize(
+    "argv, flag, message",
+    [
+        # perturb --critical --alpha 0.3 printed the critical strength and dropped --alpha.
+        (["perturb", "--critical"], ["--alpha", "0.3"], NEEDS_SERIES),
+        (["perturb", "--spike", "0.3", "0.3", "0.01"], ["--order", "4"], NEEDS_SERIES),
+        # metric --profile printed its CSV and dropped --basis and --positivity.
+        (["metric", "--profile", "0.1:0.2:2"], ["--basis"], PROFILE_ONLY),
+        (["metric", "--profile", "0.1:0.2:2"], ["--positivity"], PROFILE_ONLY),
+    ],
+)
+def test_flag_the_mode_ignores_is_a_usage_error(tmp_path, capsys, argv, flag, message, from_config):
+    # From a config file, the flag is its line `key = value` (`key = true` for a switch).
+    if from_config:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{flag[0][2:]} = {flag[1] if flag[1:] else 'true'}\n")
+        flag = ["--config", str(cfg)]
+    assert main([*argv, *flag]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

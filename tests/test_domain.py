@@ -31,6 +31,7 @@ import quasih.cli
 import quasih.domain
 from quasih.cli import main
 from quasih.domain import BoundaryTraceError, _margin_bound, _real_roots, brentq
+from quasih.spectrum import REALITY_TOL
 
 finite4 = st.floats(min_value=-4, max_value=4, allow_nan=False)
 
@@ -91,9 +92,9 @@ def test_rotated_equivalent_to_second_condition(a, b, d):
 @settings(max_examples=150)
 @given(a=finite4, b=finite4, d=finite4)
 def test_membership_iff_spectral_reality(a, b, d):
-    tol = 1e-9
+    tol = REALITY_TOL
     v = in_domain(a, b, d)
-    real = closed_form_energies(a, b, d, tol).classification in (
+    real = closed_form_energies(a, b, d).classification in (
         Reality.ALL_REAL,
         Reality.REAL_DEGENERATE,
     )

@@ -443,13 +443,3 @@ def test_nullspace_rejects_bad_input():
         metric_nullspace(np.zeros((3, 4)))
     with pytest.raises(ValueError):
         metric_nullspace(np.eye(17))
-    with pytest.raises(ValueError):
-        metric_nullspace(np.eye(4), rank_tol=0.0)
-
-
-@pytest.mark.parametrize("rank_tol", [1.0, 1.5])
-def test_nullspace_rejects_rank_tol_of_one_or_more(rank_tol):
-    # With rank_tol >= 1 every singular value passed: at alpha = 0.3 the
-    # "family" was the whole 10-dimensional symmetric sector, residual 2.02.
-    with pytest.raises(ValueError, match="rank_tol must"):
-        metric_nullspace(build_alpha(0.3), rank_tol=rank_tol)

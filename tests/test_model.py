@@ -13,9 +13,7 @@ from quasih import (
     build_full,
     build_reordered,
     build_two_state,
-    classify_reality,
     harmonic_diag,
-    metric_nullspace,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -177,17 +175,3 @@ def test_harmonic_diag_rejects_empty():
     with pytest.raises(ValueError):
         harmonic_diag(0, 0)
 
-
-TOLERANCE_TAKERS = {
-    "classify_reality": lambda tol: classify_reality([1.0, 1j], tol),
-    "metric_nullspace": lambda tol: metric_nullspace(np.eye(4), tol),
-}
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
-@pytest.mark.parametrize("name", sorted(TOLERANCE_TAKERS))
-def test_tolerances_must_be_positive_and_finite(name, tol):
-    # NaN passed the old `tol <= 0` test: classify_reality called a spectrum
-    # with |Im E| = 1 AllReal.
-    with pytest.raises(ValueError, match="must be positive and finite"):
-        TOLERANCE_TAKERS[name](tol)

@@ -1,6 +1,7 @@
 """The ``quasih`` package loads its public names on first access."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -29,6 +30,14 @@ def test_star_import_gives_every_public_name():
 def test_dir_lists_the_public_names():
     assert set(quasih.__all__) | {"__version__", "__all__"} <= set(dir(quasih))
     assert len(set(quasih.__all__)) == len(quasih.__all__) == 43
+
+
+def test_no_public_function_takes_a_threshold():
+    # The reality and rank thresholds are spectrum.REALITY_TOL and metric.RANK_TOL.
+    for name in quasih.__all__:
+        obj = getattr(quasih, name)
+        if inspect.isfunction(obj):
+            assert not {"tol", "rank_tol"} & set(inspect.signature(obj).parameters), name
 
 
 def test_unknown_name_is_an_attribute_error():

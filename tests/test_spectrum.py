@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import multiset_max_distance
+from quasih.spectrum import REALITY_TOL
 from quasih import (
     ParamPoint,
     Reality,
@@ -137,18 +138,13 @@ def test_classify_trivial_cases():
     assert classify_reality([1j, -1j, 2j, -2j]) is Reality.COMPLEX_PAIRS
 
 
-def test_classify_requires_positive_tol():
-    with pytest.raises(ValueError):
-        classify_reality([1, 2], tol=0.0)
-
-
 @settings(max_examples=150)
 @given(a=finite4, b=finite4, d=finite4)
 def test_reality_iff_domain_conditions(a, b, d):
     from quasih import reduced_AB
 
-    tol = 1e-9
-    s = closed_form_energies(a, b, d, tol)
+    tol = REALITY_TOL
+    s = closed_form_energies(a, b, d)
     A, B = reduced_AB(a, b, d)
     conditions = A >= -tol and A * A >= B - tol and B >= -tol
     real = s.classification in (Reality.ALL_REAL, Reality.REAL_DEGENERATE)
