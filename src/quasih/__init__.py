@@ -28,17 +28,14 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULES = {
-    "model": (
-        "ParamPoint build_two_state build_full build_reordered build_band build_alpha "
-        "harmonic_diag"
-    ),
+    "model": "ParamPoint build_two_state build_full build_reordered build_band build_alpha",
     "secular": "SecularInvariants secular_coeffs constant_term reduced_AB hyperbola_factors",
     "spectrum": (
         "Reality Spectrum closed_form_energies band_closed_energies numeric_energies "
         "quartic_energies classify_reality"
     ),
     "domain": (
-        "DomainVerdict PMNPoint GridScan in_domain in_domain_rotated pmn_points "
+        "DomainVerdict PMNPoint GridScan in_domain pmn_points "
         "boundary_trace_ray scan_grid figure1_geometry"
     ),
     "metric": (

@@ -114,18 +114,6 @@ def _margin_bound(a, b, d):
     return 10.0 * 2.0**-53 * s * s
 
 
-def in_domain_rotated(sigma: float, delta: float, d: float) -> bool:
-    """The A^2 >= B condition in rotated coordinates.
-
-    Returns (2 + sigma*delta)^2 >= d^2 (4 - sigma^2).  With
-    sigma = (a+b)/2 and delta = (a-b)/2 this is exactly A^2 - B >= 0
-    (the two sides differ by the positive factor 4).  For |sigma| >= 2
-    the right side is non-positive and the condition always holds.
-    """
-    _require_finite(sigma=sigma, delta=delta, d=d)
-    return (2.0 + sigma * delta) ** 2 >= d * d * (4.0 - sigma * sigma)
-
-
 def brentq(f, a, b) -> float:
     """Root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
     method (Brent 1973, ch. 4).

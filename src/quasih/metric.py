@@ -1,13 +1,12 @@
 """Candidate metric operators Theta for the model Hamiltonians.
 
-A metric must satisfy the intertwining relation H^T Theta = Theta H
-together with Theta = Theta^T > 0.  For a real H the real symmetric
-solutions form a linear space; :func:`metric_nullspace` computes a basis
-of that space by SVD of the commutator map restricted to symmetric
-matrices.  Only symmetric solutions are sought: for real H a complex
-Hermitian solution splits into a real symmetric part (a solution) and an
-antisymmetric imaginary part, and the positive-definiteness question
-lives entirely in the symmetric sector.
+A metric satisfies H^T Theta = Theta H with Theta = Theta^T > 0.  Every
+quasih model has a diagonal sign matrix P with H^T = P H P, a
+pseudo-metric (Mostafazadeh 2002), so the equation says that P Theta
+commutes with H.  For a non-derogatory H the commutant is the
+polynomials in H (Taussky & Zassenhaus 1959), and :func:`metric_nullspace`
+returns the basis P H^k, k < n, built exactly in integers; a derogatory
+H, or one without such a P, raises ValueError.
 
 A positive-definite solution exists exactly when H is diagonalizable
 with a real spectrum; the dyad sum_n u_n u_n^T over the left
@@ -33,10 +32,6 @@ from quasih.spectrum import REALITY_TOL, _finite_square
 
 #: Largest matrix dimension accepted by the nullspace solver.
 MAX_NULLSPACE_DIM = 16
-
-#: Relative rank threshold: singular values at or below RANK_TOL * sigma_max
-#: count as zero, far above the SVD's rounding (about 1e-16 * sigma_max).
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,46 +63,70 @@ class PositivityCertificate:
     positive: bool
 
 
-def _sym_basis(n: int) -> np.ndarray:
-    """The n(n+1)/2 symmetric unit matrices E_ij = E_ji (i <= j), stacked."""
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-    return np.stack(basis)
-
-
-def _equation_residual(h: np.ndarray, theta: np.ndarray) -> float:
-    num = np.max(np.abs(h.T @ theta - theta @ h))
-    den = max(np.max(np.abs(h)) * np.max(np.abs(theta)), np.finfo(float).tiny)
-    return num / den
+def _sign_matrix(rows: list[list[float]]) -> list[int]:
+    """The signs p_i of the diagonal P with H^T = P H P (h_ji = p_i p_j h_ij),
+    by a walk over the nonzero couplings; an index without one takes +1."""
+    n = len(rows)
+    signs = [0] * n
+    for root in range(n):
+        stack = [] if signs[root] else [root]
+        signs[root] = signs[root] or 1
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if not signs[j] and rows[i][j] != 0.0:
+                    signs[j] = signs[i] if rows[j][i] == rows[i][j] else -signs[i]
+                    stack.append(j)
+    if any(rows[j][i] != signs[i] * signs[j] * rows[i][j] for i in range(n) for j in range(n)):
+        raise ValueError("matrix has no diagonal sign matrix P with H^T = P H P")
+    return signs
 
 
 def metric_nullspace(h: np.ndarray) -> MetricFamily:
-    """Basis of all real symmetric Theta with H^T Theta = Theta H.
+    """Basis P H^k (k < n) of all real Theta with H^T Theta = Theta H.
 
-    The map Theta -> H^T Theta - Theta H is assembled over the
-    n(n+1)/2-dimensional symmetric sector and its nullspace is taken at
-    singular values at or below RANK_TOL * sigma_max.  Near the domain
-    boundary the nullspace is ill-conditioned, hence the threshold.  The
-    map and the residual use H scaled by a power of two to largest entry
-    in [1/2, 1): exact, as the equation is homogeneous.
+    P, with H^T = P H P, is read off the entries of H.  The solutions are
+    the P p(H), exactly symmetric, when H is non-derogatory (no eigenvalue
+    has two Jordan blocks); a derogatory H, or one without P, raises
+    ValueError.  H is an integer matrix over one power of two, as floats
+    are dyadic, so the powers, the test that decides derogatory and each
+    element over its largest entry are exact integers, each entry rounded
+    once: the basis depends on no BLAS/LAPACK kernel.  The residual sums
+    H^T Theta - Theta H with fsum over H scaled to largest entry in [1/2, 1).
     """
     h = _finite_square(h, MAX_NULLSPACE_DIM)
-    scaled = np.ldexp(h, -math.frexp(np.max(np.abs(h)))[1])
-    stack = _sym_basis(len(h))
-    k = np.column_stack([(scaled.T @ e - e @ scaled).ravel() for e in stack])
-    # The map has n^2 >= n(n+1)/2 rows, so vt has one row per singular
-    # value; with sigma_max = 0 every row is kept.
-    _, sigma, vt = np.linalg.svd(k)
-    family = []
-    for vec in vt[sigma <= RANK_TOL * sigma[0]]:
-        theta = _candidate(stack, vec)  # exactly symmetric, as each E_ij is
-        family.append(theta / np.max(np.abs(theta)))
-    residual = max((_equation_residual(scaled, theta) for theta in family), default=0.0)
-    return MetricFamily(h=h, dim=len(family), basis=tuple(family), residual=residual)
+    rows = h.tolist()
+    n = len(rows)
+    signs = _sign_matrix(rows)
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = max(q for row in ratios for _, q in row)
+    m = [[p * (den // q) for p, q in row] for row in ratios]
+    exact = [[signs[i] * int(i == j) for j in range(n)] for i in range(n)]  # P H^0
+    family, pivots = [], []
+    for k in range(n):
+        if k:  # P H^k = (P H^(k-1)) H
+            exact = [[sum(a * b for a, b in zip(r, c)) for c in zip(*m)] for r in exact]
+        # Fraction-free elimination of the upper triangle by the earlier pivot rows.
+        row = [exact[i][j] for i in range(n) for j in range(i, n)]
+        for col, pivot in pivots:
+            if row[col]:
+                row = [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            raise ValueError("matrix is derogatory (an eigenvalue has two Jordan blocks)")
+        g = math.gcd(*row)
+        pivots.append((col, [x // g for x in row]))
+        top = max(abs(x) for r in exact for x in r)
+        family.append([[x / top for x in r] for r in exact])
+    hs = np.ldexp(h, -math.frexp(np.max(np.abs(h)))[1]).tolist()
+    defect = max(
+        abs(math.fsum(x for k in range(n) for x in (hs[k][i] * t[k][j], -t[i][k] * hs[k][j])))
+        for t in family
+        for i in range(n)
+        for j in range(n)
+    )
+    residual = defect / (max(abs(x) for row in hs for x in row) or 1.0)
+    return MetricFamily(h=h, dim=n, basis=tuple(map(np.array, family)), residual=residual)
 
 
 def closed_form_band_metric(
@@ -225,18 +244,41 @@ def _signed_min_eig(theta: np.ndarray) -> tuple[float, float]:
     return w[-1] / w[0], -1.0
 
 
-def _family_coefficients(fam: MetricFamily, theta: np.ndarray) -> np.ndarray:
-    """Least-squares weights of Theta over the family basis."""
-    mat = np.column_stack([e.ravel() for e in fam.basis])
-    coeffs, *_ = np.linalg.lstsq(mat, theta.ravel(), rcond=None)
-    return coeffs
+def _jacobi_eigenvalues(a: list[list[float]]) -> list[float]:
+    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations
+    (Rutishauser 1966) in plain floats, so unlike eigvalsh the same bits
+    under every BLAS/LAPACK kernel; ``a`` is overwritten.  An off-diagonal
+    entry that cannot change either diagonal entry it couples, even a
+    hundredfold, is dropped; the sweeps end when none is left."""
+    n = len(a)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for _ in range(50):  # about 5 sweeps converge; the cap only guards the loop
+        if not any(a[p][q] for p, q in pairs):
+            break
+        for p, q in pairs:
+            apq, g = a[p][q], 100.0 * abs(a[p][q])
+            a[p][q] = a[q][p] = 0.0
+            if abs(a[p][p]) + g == abs(a[p][p]) and abs(a[q][q]) + g == abs(a[q][q]):
+                continue
+            # The stable rotation of Numerical Recipes (Press et al. 2007, §11.1).
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0)), theta)
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s, tau = t * c, t * c / (1.0 + c)
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            for r in range(n):
+                if r != p and r != q:
+                    g, h = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = g - s * (h + g * tau)
+                    a[r][q] = a[q][r] = h + s * (g - h * tau)
+    return [a[k][k] for k in range(n)]
 
 
 def _candidate(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Symmetrized sum_k c_k E_k over the stacked basis; the reduction adds
-    in basis order from 0.0, exactly as Python's sum over the list does."""
-    theta = np.add.reduce(coeffs[:, None, None] * stack, axis=0, initial=0.0)
-    return 0.5 * (theta + theta.T)
+    """sum_k c_k E_k over the stacked basis, exactly symmetric as each E_k is;
+    the reduction adds in basis order from 0.0, as Python's sum does."""
+    return np.add.reduce(coeffs[:, None, None] * stack, axis=0, initial=0.0)
 
 
 def find_positive(fam: MetricFamily) -> PositivityCertificate:
@@ -249,22 +291,21 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
     definite for an all-real spectrum (positive semidefinite for a mixed
     one); it and the signed basis elements seed a Nelder-Mead polish of
     the normalized smallest eigenvalue (:func:`minimize`, quasih's own,
-    step for step scipy's), run once more from unit scale if it stalls at
-    its iteration limit.  When any eigenvalue is non-real
-    no positive Theta exists, so there is no polish: the certificate is
-    the best of these starts, not positive (about 0 for a mixed spectrum,
-    a basis element's ratio for an all-complex one).
+    step for step scipy's).  When any eigenvalue is non-real no positive
+    Theta exists, so there is no polish: the certificate is the best of
+    these starts, not positive (about 0 for a mixed spectrum, a basis
+    element's ratio for an all-complex one).  The reported eigenvalues of
+    the chosen Theta are :func:`_jacobi_eigenvalues`'.
     """
-    if fam.dim < 1:
-        raise ValueError("family must contain at least one basis element")
-
     candidates = []
     # Left eigenvectors of H (u^T H = E u^T) are the eigenvectors of H^T.
     w, u = np.linalg.eig(fam.h.T)
     real = np.abs(w.imag) < REALITY_TOL
     if real.any():
         left = np.real(u[:, real])
-        candidates.append(_family_coefficients(fam, left @ left.T))
+        # The dyad's least-squares weights over the family basis.
+        mat = np.column_stack([e.ravel() for e in fam.basis])
+        candidates.append(np.linalg.lstsq(mat, (left @ left.T).ravel(), rcond=None)[0])
     candidates.extend(np.eye(fam.dim))
     stack = np.stack(fam.basis)
 
@@ -286,23 +327,20 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
     # is reported as it is: the polish could not change the verdict.
     if real.all():
         res = minimize(objective, best_coeffs)
-        if res.status == 2:
-            # The objective ignores scale: stalled coefficients outgrow the absolute xatol.
-            res = minimize(objective, res.x / np.max(np.abs(res.x)))
         if -res.fun > best_min:
-            m, sign = _signed_min_eig(_candidate(stack, res.x))
-            best_min, best_coeffs = m, sign * res.x
+            best_coeffs = _signed_min_eig(_candidate(stack, res.x))[1] * res.x
 
-    # Report coefficients scaled to unit largest eigenvalue of Theta.
-    w = np.linalg.eigvalsh(_candidate(stack, best_coeffs))
-    if w[-1] > 0:
-        best_coeffs = np.asarray(best_coeffs) / w[-1]
-    # Positivity below numerical noise, 1e-12, cannot be certified (e.g.
-    # the singular family at an exceptional point).
+    # Report Theta scaled to unit largest eigenvalue.  Positivity below
+    # numerical noise, 1e-12, cannot be certified (e.g. the singular family
+    # at an exceptional point).
+    w = _jacobi_eigenvalues(_candidate(stack, best_coeffs).tolist())
+    lo, hi = min(w), max(w)
+    if hi < -lo:  # a near tie that eigvalsh oriented the other way
+        best_coeffs, lo, hi = -best_coeffs, -hi, -lo
     return PositivityCertificate(
-        coefficients=tuple(float(c) for c in np.atleast_1d(best_coeffs)),
-        min_eigenvalue=float(best_min),
-        positive=bool(best_min > 1e-12),
+        coefficients=tuple(float(c) for c in best_coeffs / hi),
+        min_eigenvalue=lo / hi,
+        positive=lo / hi > 1e-12,
     )
 
 

@@ -5,9 +5,8 @@ cached or mutated, so the results are safe to share between threads.  The
 module loads without numpy, which the constructors import when called: the
 scalar layers use only the validator and :class:`ParamPoint`.
 
-The library default energy convention is the symmetrized ("shifted")
-unperturbed spectrum (-3, -1, 1, 3); the raw harmonic levels (1, 3, 5, 7)
-are available through :func:`harmonic_diag` with ``shifted=False``.
+The energy convention is the symmetrized ("shifted") unperturbed spectrum
+(-3, -1, 1, 3) of the harmonic levels (1, 3, 5, 7).
 """
 
 from __future__ import annotations
@@ -115,27 +114,3 @@ def build_alpha(alpha: float) -> np.ndarray:
             [0.0, 0.0, -t, 3.0],
         ]
     )
-
-
-def harmonic_diag(n_plus: int, n_minus: int, shifted: bool = True) -> np.ndarray:
-    """Unperturbed harmonic diagonal for ``n_plus`` even and ``n_minus``
-    odd oscillator levels, in the partitioned (even-first) ordering.
-
-    Unshifted entries are 4n+1 in the even sector and 4n+3 in the odd
-    sector, e.g. (1, 5, 3, 7) for two levels each.  With ``shifted=True``
-    the origin of the energy scale is moved to the midpoint of the
-    spectrum, which for equal sector sizes gives the symmetric levels,
-    e.g. (1, 5, 3, 7) -> (-3, 1, -1, 3).
-    """
-    import numpy as np
-
-    if n_plus < 0 or n_minus < 0:
-        raise ValueError("sector sizes must be non-negative")
-    if n_plus + n_minus == 0:
-        raise ValueError("total dimension must be positive")
-    even = [4 * n + 1 for n in range(n_plus)]
-    odd = [4 * n + 3 for n in range(n_minus)]
-    entries = np.array(even + odd, dtype=float)
-    if shifted:
-        entries -= 0.5 * (entries.min() + entries.max())
-    return np.diag(entries)

@@ -375,15 +375,26 @@ def test_metric_rejects_a_coupling_that_overflows_the_matrix(capsys):
 
 @pytest.mark.parametrize(
     "model, dim",
-    [(["--full", "1e308", "1e308", "1e308", "1e308"], 5), (["--two-state", "1e308"], 2)],
+    [(["--full", "1e308", "1e308", "1e308", "1e308"], 4), (["--two-state", "1e308"], 2)],
 )
 def test_metric_family_of_huge_finite_couplings(capsys, model, dim):
-    # The map overflowed: dims 10 and 3 with residual inf, as at 1e307 no longer.
+    # Both matrices are non-derogatory, so the family has dimension n.  A
+    # commutator map in floats overflowed (dims 10 and 3, residual inf), and
+    # once scaled its rank cut at 1e-10 sigma_max still reported dim 5.
     code, out = run(capsys, "metric", *model)
     assert code == 0 and capsys.readouterr().err == ""
     doc = json.loads(out)
     assert doc["dim"] == dim
     assert doc["residual"] <= 1e-15
+
+
+@pytest.mark.parametrize("flags", [[], ["--basis", "--positivity"]])
+def test_metric_of_a_derogatory_matrix_is_a_usage_error(capsys, flags):
+    # H^2 = 0 with two Jordan blocks: its metrics are not P p(H).
+    assert main(["metric", "--full", "1", "3", "0", "0", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: matrix is derogatory")
 
 
 @pytest.mark.parametrize("flag", ["-h", "--version"])

@@ -20,7 +20,6 @@ from quasih import (
     figure1_geometry,
     hyperbola_factors,
     in_domain,
-    in_domain_rotated,
     pmn_points,
     quartic_energies,
     reduced_AB,
@@ -58,21 +57,11 @@ def test_large_d_is_outside():
 
 
 def test_rotated_origin_condition():
-    # at sigma = delta = 0 the condition reads 4 >= 4 d^2
-    assert in_domain_rotated(0, 0, 0.99)
-    assert in_domain_rotated(0, 0, 1.0)
-    assert not in_domain_rotated(0, 0, 1.01)
-    # matches the A^2 >= B slack of in_domain(0, 0, d)
+    # At sigma = delta = 0 the rotated form of A^2 >= B reads 4 >= 4 d^2.
     A, B = reduced_AB(0, 0, 0.99)
     assert A * A >= B
     A, B = reduced_AB(0, 0, 1.01)
     assert A * A < B
-
-
-@given(sigma=st.floats(min_value=2, max_value=10), delta=finite4, d=finite4)
-def test_rotated_always_true_for_large_sigma(sigma, delta, d):
-    assert in_domain_rotated(sigma, delta, d)
-    assert in_domain_rotated(-sigma, delta, d)
 
 
 @settings(max_examples=200)
@@ -86,7 +75,7 @@ def test_rotated_equivalent_to_second_condition(a, b, d):
     rhs = A * A - B
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
     if abs(lhs) > 1e-9:
-        assert in_domain_rotated(sigma, delta, d) == (rhs >= 0)
+        assert (lhs >= 0) == (rhs >= 0)
 
 
 @settings(max_examples=150)

@@ -13,7 +13,6 @@ from quasih import (
     build_full,
     build_reordered,
     build_two_state,
-    harmonic_diag,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -157,21 +156,3 @@ def test_alpha_small_matches_closed_forms():
     e3 = math.sqrt(-6 * alpha**2 + 5 + 2 * disc)
     eigs = np.sort(np.linalg.eigvals(build_alpha(alpha)).real)
     np.testing.assert_allclose(eigs, [-e3, -e1, e1, e3], atol=1e-12)
-
-
-def test_harmonic_diag_unshifted():
-    np.testing.assert_array_equal(harmonic_diag(2, 2, shifted=False), np.diag([1.0, 5.0, 3.0, 7.0]))
-
-
-def test_harmonic_diag_shifted():
-    np.testing.assert_array_equal(harmonic_diag(2, 2), np.diag([-3.0, 1.0, -1.0, 3.0]))
-
-
-def test_harmonic_diag_single_level():
-    np.testing.assert_array_equal(harmonic_diag(1, 0, shifted=False), [[1.0]])
-
-
-def test_harmonic_diag_rejects_empty():
-    with pytest.raises(ValueError):
-        harmonic_diag(0, 0)
-

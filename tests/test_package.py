@@ -29,11 +29,12 @@ def test_star_import_gives_every_public_name():
 
 def test_dir_lists_the_public_names():
     assert set(quasih.__all__) | {"__version__", "__all__"} <= set(dir(quasih))
-    assert len(set(quasih.__all__)) == len(quasih.__all__) == 43
+    assert len(set(quasih.__all__)) == len(quasih.__all__) == 41
 
 
 def test_no_public_function_takes_a_threshold():
-    # The reality and rank thresholds are spectrum.REALITY_TOL and metric.RANK_TOL.
+    # The reality threshold is spectrum.REALITY_TOL; the metric family is
+    # exact and has no rank threshold.
     for name in quasih.__all__:
         obj = getattr(quasih, name)
         if inspect.isfunction(obj):
