@@ -257,6 +257,7 @@ def _cmd_metric(args) -> str:
         doc["positivity"] = {
             "coefficients": cert.coefficients,
             "min_eigenvalue": cert.min_eigenvalue,
+            "upper_bound": cert.upper_bound,
             "positive": cert.positive,
         }
     return json_dumps(doc)

@@ -9,11 +9,10 @@ returns the basis P H^k, k < n, built exactly in integers; a derogatory
 H, or one without such a P, raises ValueError.
 
 A positive-definite solution exists exactly when H is diagonalizable
-with a real spectrum; the dyad sum_n u_n u_n^T over the left
-eigenvectors is then one, and :func:`find_positive` starts from it.
-Outside the domain (any non-real eigenvalue) no positive Theta exists,
-and :func:`find_positive` reports the best deterministic start,
-unpolished, as not positive.
+with a real spectrum, and every one is then U diag(1/s) U^T over the left
+eigenvectors U; :func:`find_positive` finds the best conditioned one as
+the optimal diagonal scaling of U^T U, with a dual bound.  Outside the
+domain no positive Theta exists, and the best fixed start is reported.
 For the one-parameter band model the closed four-parameter family
 Theta(p, q, r, s) is available in closed form; the best achievable
 conditioning degrades to zero as the exceptional point alpha^2 = 2/5 is
@@ -52,15 +51,15 @@ class PositivityCertificate:
     reported candidate, normalized to unit largest eigenvalue of Theta;
     ``min_eigenvalue`` is its smallest eigenvalue after that
     normalization, and ``positive`` says whether it exceeds the fixed
-    positivity tolerance 1e-12.  Inside the reality domain a positive member
-    exists by construction; outside it none exists, and the reported
-    candidate is the best deterministic start, unpolished, with
-    ``positive`` False.
+    positivity tolerance 1e-12.  ``upper_bound`` is a dual bound on the best
+    ``min_eigenvalue`` in the family, None outside the reality domain, where
+    no positive member exists and the candidate is the best fixed start.
     """
 
     coefficients: tuple[float, ...]
     min_eigenvalue: float
     positive: bool
+    upper_bound: float | None
 
 
 def _sign_matrix(rows: list[list[float]]) -> list[int]:
@@ -163,71 +162,6 @@ def closed_form_band_metric(
     )
 
 
-@dataclass(frozen=True)
-class PolishResult:
-    """:func:`minimize`'s best vertex, its value, the evaluation count and
-    status 0 (converged) or 2 (iteration limit)."""
-
-    x: np.ndarray
-    fun: float
-    nfev: int
-    status: int
-
-
-def minimize(fun, x0) -> PolishResult:
-    """Nelder-Mead (Nelder & Mead 1965) that takes the steps of scipy's
-    ``minimize(method="Nelder-Mead")`` with xatol=1e-12, fatol=1e-14 and
-    maxiter=2000 bit for bit: the same initial simplex (one entry of x0
-    scaled by 1.05, or 0.00025 if 0), rho=1, chi=2, psi=sigma=1/2, the same
-    ``argsort``/``take`` ordering and stopping test.  It spares a request
-    the import of scipy.optimize, which takes longer than most requests.
-    """
-    x0 = np.array(x0, dtype=float).ravel()
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.array([fun(x) for x in sim], dtype=float)
-    nfev = n + 1
-    # scipy sorts twice before the first step; argsort is not stable on ties.
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    iterations = 1
-    while iterations < 2000:
-        if (
-            np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14
-        ):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = fun(xr)
-        nfev += 1
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = fun(xe)
-            nfev += 1
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            # Contract outside if xr beats the worst vertex, else inside.
-            outside = fxr < fsim[-1]
-            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-            fxc = fun(xc)
-            nfev += 1
-            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fsim[1:] = [fun(x) for x in sim[1:]]
-                nfev += n
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return PolishResult(sim[0], np.min(fsim), nfev, 2 if iterations >= 2000 else 0)
-
-
 def _signed_min_eig(theta: np.ndarray) -> tuple[float, float]:
     """Smallest eigenvalue after scaling to unit largest eigenvalue.
 
@@ -281,54 +215,117 @@ def _candidate(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.add.reduce(coeffs[:, None, None] * stack, axis=0, initial=0.0)
 
 
+def _dual_bound(lam: np.ndarray, v: np.ndarray) -> float:
+    """Upper bound on 1/cond at the optimal scaling, from the eigenpairs
+    (lam ascending, columns of v) of M = S^-1/2 K S^-1/2 at any s > 0.
+
+    Any PSD Z1, Z2 and c > 0 bound every feasible kappa of S <= M <= kappa S
+    below by c tr(Z2 M)/tr(Z1 M + D), D the diagonal that tops diag(Z1) up
+    to c diag(Z2).  Z1, Z2 are the projectors on the j lowest and m highest
+    eigenvectors (the optimal pair's form), c each ratio of their diagonals,
+    and the best j, m, c is kept; D keeps entries rounded to ~0 harmless.
+    """
+    w = v * v
+    low, high = np.cumsum(w, axis=1), np.cumsum(w[:, ::-1], axis=1)
+    c, eps = np.zeros((len(w),) * 3), np.finfo(float).eps  # ratios over 1/eps may overflow
+    np.divide(low[:, :, None], high[:, None], out=c, where=high[:, None] > eps * low[:, :, None])
+    short = np.maximum(c[:, None] * high[None, :, None] - low[None, :, :, None], 0.0)
+    top_up = short.transpose(0, 2, 3, 1) @ (w @ lam)  # tr D M, as [c, j, m]
+    return 1.0 / float(np.max(c * np.cumsum(lam[::-1]) / (np.cumsum(lam)[:, None] + top_up)))
+
+
+def _best_scaling(k: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The diagonal s > 0 of least cond(M), M = S^-1/2 K S^-1/2, for an SPD
+    K, and the least :func:`_dual_bound` over the centers; None when K is
+    not numerically positive definite.
+
+    This is the generalized-eigenvalue problem S <= K <= kappa S (Boyd, El
+    Ghaoui, Feron & Balakrishnan 1994, section 3.1), solved by the method of
+    centers (Boyd & El Ghaoui 1993): Newton steps on -log det(K - S) -
+    log det(kappa S - K), in the coordinates s/s_now and with one eigh of M
+    each, find the analytic center; then kappa <- 0.95 cond(M) + 0.05 kappa.
+    It starts at s = 1 and returns the best s seen, and stops when kappa -
+    cond(M) < 1e-12 cond(M) or when no step stays feasible.
+    """
+    lam, v = np.linalg.eigh(k)
+    if not lam[0] > len(k) * np.finfo(float).eps * lam[-1]:
+        return None
+    s = best_s = np.ones(len(k))
+    best = lam[-1] / lam[0]
+    kappa, bound = 2.0 * best, 1.0
+    while True:
+        # Rescale s so that M's spectrum sits in the middle of (1, kappa).
+        c = math.sqrt(lam[0] * lam[-1] / kappa)
+        s, lam, last = s * c, lam / c, math.inf
+        for _ in range(8):  # about 3 steps center; the cap only guards the loop
+            if not (lam[0] > 1.0 and lam[-1] < kappa):
+                return best_s, bound  # rounding left the barrier's domain
+            # (K - S)^-1 and kappa (kappa S - K)^-1, in the coordinates x.
+            f = np.array([1.0 / (lam - 1.0), kappa / (kappa - lam)])
+            z = (v * f[:, None, :]) @ v.T
+            d = np.diagonal(z, axis1=1, axis2=2)
+            g = d[0] - d[1]
+            try:
+                dx = np.linalg.solve((z * z).sum(axis=0), -g)
+            except np.linalg.LinAlgError:
+                return best_s, bound
+            dec = -(g @ dx)  # the squared Newton decrement; NaN fails x.min() below
+            if dec < 1e-8 or dec >= last:  # centered, or as near as rounding allows
+                break
+            last = dec
+            # Damped steps stay inside the barrier's domain, and so does the
+            # full step below decrement 1/4 (Nesterov & Nemirovskii 1994).
+            x = 1.0 + dx / (1.0 + math.sqrt(dec) if dec > 0.0625 else 1.0)
+            if not x.min() > 0.0:
+                return best_s, bound
+            s = s * x
+            r = 1.0 / np.sqrt(s)
+            lam, v = np.linalg.eigh(k * r[:, None] * r)
+            if lam[-1] / lam[0] < best:
+                best, best_s = lam[-1] / lam[0], s
+        bound = min(bound, _dual_bound(lam, v))
+        cond = lam[-1] / lam[0]
+        if kappa - cond < 1e-12 * cond:
+            return best_s, bound
+        kappa = 0.95 * cond + 0.05 * kappa
+
+
 def find_positive(fam: MetricFamily) -> PositivityCertificate:
     """Best positive-definite metric in the family span, found deterministically.
 
     H is quasi-Hermitian exactly when it is diagonalizable with a real
-    spectrum, and every metric is then sum_n w_n u_n u_n^T with w_n > 0
-    over its left eigenvectors u_n.  The dyad with w_n = 1 over the unit
-    left eigenvectors of the real eigenvalues is therefore positive
-    definite for an all-real spectrum (positive semidefinite for a mixed
-    one); it and the signed basis elements seed a Nelder-Mead polish of
-    the normalized smallest eigenvalue (:func:`minimize`, quasih's own,
-    step for step scipy's).  When any eigenvalue is non-real no positive
-    Theta exists, so there is no polish: the certificate is the best of
-    these starts, not positive (about 0 for a mixed spectrum, a basis
-    element's ratio for an all-complex one).  The reported eigenvalues of
-    the chosen Theta are :func:`_jacobi_eigenvalues`'.
+    spectrum, and every metric is then U diag(1/s) U^T, s > 0, over its unit
+    left eigenvectors U.  Its eigenvalues are those of S^-1/2 K S^-1/2 with
+    K = U^T U, so :func:`_best_scaling` finds the best one globally (the
+    problem is quasiconvex), never worse than the dyad s = 1; its weights
+    over the basis are a least-squares fit.  With a non-real eigenvalue, or
+    K not numerically positive definite (an exceptional point), the
+    certificate is the best of the dyad over the real eigenvalues and the
+    signed basis elements, not positive, with no bound.  The reported
+    eigenvalues are :func:`_jacobi_eigenvalues`'.
     """
-    candidates = []
     # Left eigenvectors of H (u^T H = E u^T) are the eigenvectors of H^T.
     w, u = np.linalg.eig(fam.h.T)
     real = np.abs(w.imag) < REALITY_TOL
-    if real.any():
-        left = np.real(u[:, real])
-        # The dyad's least-squares weights over the family basis.
-        mat = np.column_stack([e.ravel() for e in fam.basis])
-        candidates.append(np.linalg.lstsq(mat, (left @ left.T).ravel(), rcond=None)[0])
-    candidates.extend(np.eye(fam.dim))
+    left = np.real(u[:, real])
+    mat = np.column_stack([e.ravel() for e in fam.basis])
     stack = np.stack(fam.basis)
-
-    best_coeffs = None
-    best_min = -math.inf
-    for coeffs in candidates:
-        # Theta = 0 scores -inf, which never beats the start.
-        m, sign = _signed_min_eig(_candidate(stack, coeffs))
-        if m > best_min:
-            best_min, best_coeffs = m, sign * coeffs
-
-    def objective(coeffs: np.ndarray) -> float:
-        theta = _candidate(stack, coeffs)
-        if np.max(np.abs(theta)) == 0.0:
-            return 1.0
-        return -_signed_min_eig(theta)[0]
-
-    # No positive Theta exists for a non-real spectrum, so the best start
-    # is reported as it is: the polish could not change the verdict.
     if real.all():
-        res = minimize(objective, best_coeffs)
-        if -res.fun > best_min:
-            best_coeffs = _signed_min_eig(_candidate(stack, res.x))[1] * res.x
+        left = left / np.linalg.norm(left, axis=0)
+    scaling = _best_scaling(left.T @ left) if real.all() else None
+    if scaling is not None:
+        s, upper = scaling
+        best_coeffs = np.linalg.lstsq(mat, ((left / s) @ left.T).ravel(), rcond=None)[0]
+    else:
+        upper, best_min, candidates = None, -math.inf, list(np.eye(fam.dim))
+        if real.any():
+            # The dyad's least-squares weights over the family basis.
+            candidates.insert(0, np.linalg.lstsq(mat, (left @ left.T).ravel(), rcond=None)[0])
+        for coeffs in candidates:
+            # Theta = 0 scores -inf, which never beats the start.
+            m, sign = _signed_min_eig(_candidate(stack, coeffs))
+            if m > best_min:
+                best_min, best_coeffs = m, sign * coeffs
 
     # Report Theta scaled to unit largest eigenvalue.  Positivity below
     # numerical noise, 1e-12, cannot be certified (e.g. the singular family
@@ -341,6 +338,7 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
         coefficients=tuple(float(c) for c in best_coeffs / hi),
         min_eigenvalue=lo / hi,
         positive=lo / hi > 1e-12,
+        upper_bound=upper,
     )
 
 

@@ -32,7 +32,7 @@ CASES = {
     "metric_alpha_0.3_basis_positivity.json": [
         "metric", "--alpha", "0.3", "--basis", "--positivity"
     ],
-    # Outside D: the best deterministic start, unpolished and not positive.
+    # Outside D: the best deterministic start, not positive and with no bound.
     "metric_alpha_0.7_basis_positivity.json": [
         "metric", "--alpha", "0.7", "--basis", "--positivity"
     ],
@@ -201,7 +201,7 @@ def test_scan_does_not_import_scipy_optimize():
     assert report["pmn"] == (GOLDEN / "pmn_d2_1.6.json").read_text()
 
 
-# The positivity polish is quasih's own Nelder-Mead: no scipy module at all.
+# The positivity solve is quasih's own method of centers: no scipy module at all.
 METRIC_PROBE = """
 import contextlib, io, json, sys
 import quasih.cli

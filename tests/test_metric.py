@@ -23,7 +23,13 @@ from quasih import (
     numeric_energies,
 )
 import quasih.metric
-from quasih.metric import ALPHA_CRITICAL, _candidate, _jacobi_eigenvalues, _signed_min_eig
+from quasih.metric import (
+    ALPHA_CRITICAL,
+    _best_scaling,
+    _candidate,
+    _jacobi_eigenvalues,
+    _signed_min_eig,
+)
 
 
 def equation_residual(h, theta):
@@ -247,6 +253,7 @@ def test_nullspace_at_exceptional_point():
     assert fam.dim >= 1
     cert = find_positive(fam)
     assert not cert.positive
+    assert cert.upper_bound is None
 
 
 def test_positive_inside_domain():
@@ -288,15 +295,6 @@ def left_dyad_ratio(h):
     return w[0] / w[-1]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.floats(0.05, ALPHA_CRITICAL - 0.01))
-def test_certificate_inside_domain_is_positive_and_beats_the_dyad(alpha):
-    h = build_alpha(alpha)
-    cert = find_positive(metric_nullspace(h))
-    assert cert.positive
-    assert cert.min_eigenvalue >= left_dyad_ratio(h) - 1e-12
-
-
 def test_certificate_is_deterministic():
     for alpha in (0.3, 0.7):
         fam = metric_nullspace(build_alpha(alpha))
@@ -310,6 +308,7 @@ def test_mixed_spectrum_outside_domain_is_semidefinite_not_positive():
     cert = find_positive(metric_nullspace(h))
     assert cert.min_eigenvalue >= -1e-12
     assert not cert.positive
+    assert cert.upper_bound is None
 
 
 def test_matrix_without_a_sign_matrix_raises():
@@ -379,18 +378,19 @@ def test_no_positive_outside_domain():
     cert = find_positive(fam)
     assert not cert.positive
     assert cert.min_eigenvalue <= 0
+    assert cert.upper_bound is None
 
 
-def forbid_polish(monkeypatch):
-    def minimize(*args, **kwargs):
-        raise AssertionError("the polish ran on a non-real spectrum")
+def forbid_solve(monkeypatch):
+    def best_scaling(*args, **kwargs):
+        raise AssertionError("the scaling solve ran on a non-real spectrum")
 
-    monkeypatch.setattr(quasih.metric, "minimize", minimize)
+    monkeypatch.setattr(quasih.metric, "_best_scaling", best_scaling)
 
 
-# All complex at the two alphas, where the polish used to run to ~8,000
-# evaluations; two real and two complex at the --full point.  A search that
-# polishes every input fails here.
+# All complex at the two alphas, where a Nelder-Mead polish used to run to
+# ~8,000 evaluations; two real and two complex at the --full point.  A search
+# that solves for every input fails here.
 @pytest.mark.parametrize(
     "h",
     [
@@ -400,68 +400,8 @@ def forbid_polish(monkeypatch):
     ],
 )
 def test_non_real_spectrum_is_decided_without_the_polish(h, monkeypatch):
-    forbid_polish(monkeypatch)
+    forbid_solve(monkeypatch)
     assert not find_positive(metric_nullspace(h)).positive
-
-
-# Held here, before any test patches the module's name.
-POLISH = quasih.metric.minimize
-
-
-def assert_polish_is_scipys(fun, x0):
-    """quasih's Nelder-Mead against scipy's, bit for bit; returns quasih's."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    ours = POLISH(fun, x0)
-    ref = scipy_minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
-    )
-    assert ours.x.tobytes() == ref.x.tobytes()
-    assert (ours.fun, ours.nfev, ours.status) == (ref.fun, ref.nfev, ref.status)
-    return ours
-
-
-OBJECTIVES = {
-    # Rosenbrock's sum plus (1 - x_n)^2, so that it also varies in one dimension.
-    "rosenbrock": lambda x: np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
-    + (1.0 - x[-1]) ** 2,
-    # Plateaus: reflections and contractions tie, which forces shrink steps.
-    "plateau": lambda x: np.floor(4.0 * np.dot(x, x)),
-    "max_abs": lambda x: np.max(np.abs(x - 0.3)),
-}
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(1, 5),
-    objective=st.sampled_from(sorted(OBJECTIVES)),
-)
-def test_polish_takes_scipys_steps_bit_for_bit(seed, dim, objective):
-    rng = np.random.default_rng(seed)
-    x0 = rng.normal(size=dim) * rng.choice([0.1, 1.0, 5.0])
-    # A zero entry gets scipy's absolute initial step instead of the 5% one.
-    x0[rng.random(dim) < 0.3] = 0.0
-    assert_polish_is_scipys(OBJECTIVES[objective], x0)
-
-
-# find_positive runs one polish.  Over the SVD's basis the polish at
-# 0.271890064688125 stopped at the iteration limit (status 2, 9,802
-# evaluations); over P H^k it converges.
-@pytest.mark.parametrize("alpha, status", [(0.3, 0), (0.271890064688125, 0)])
-def test_find_positive_polish_takes_scipys_steps(alpha, status, monkeypatch):
-    results = []
-
-    def minimize(fun, x0):
-        results.append(assert_polish_is_scipys(fun, x0))
-        return results[-1]
-
-    monkeypatch.setattr(quasih.metric, "minimize", minimize)
-    find_positive(metric_nullspace(build_alpha(alpha)))
-    assert [r.status for r in results] == [status]
 
 
 @pytest.mark.parametrize(
@@ -481,14 +421,147 @@ def test_find_positive_polish_takes_scipys_steps(alpha, status, monkeypatch):
         ),
     ],
 )
-def test_stalled_polish_is_restarted_at_unit_scale(h, optimum):
-    # Over the SVD's basis the polish stalled at both points: the objective
-    # ignores scale, and the coefficients drifted to |c| ~ 5e10, where the
-    # absolute xatol is never met, so a second polish restarted at unit
-    # scale.  Over P H^k one polish reaches the optimum.
+def test_best_metric_reaches_the_optimum_where_a_polish_stalled(h, optimum):
+    # A Nelder-Mead polish over the coefficients stalled at both points: the
+    # objective ignores scale, and the coefficients drifted to |c| ~ 5e10,
+    # where the absolute xatol is never met.  The scaling solve is global.
     cert = find_positive(metric_nullspace(h))
     assert cert.positive
     assert cert.min_eigenvalue >= optimum
+
+
+# Couplings where an unguarded Newton solve (np.linalg.solve) raised
+# LinAlgError, singular matrix, near the end of the scaling solve, and
+# min_eigenvalue as the Nelder-Mead polish reported it.
+UNGUARDED_SOLVE_FAILED = [
+    (0.5943671471947197, 0.005159303297348549),
+    (0.583675678344857, 0.006813184729451902),
+    (0.5855423476884445, 0.0065170490059767525),
+]
+
+
+@pytest.mark.parametrize("alpha, polished", UNGUARDED_SOLVE_FAILED)
+def test_points_where_an_unguarded_newton_solve_failed(alpha, polished):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = find_positive(metric_nullspace(build_alpha(alpha)))
+    assert cert.min_eigenvalue == pytest.approx(polished, rel=1e-13)
+
+
+def test_singular_newton_system_ends_the_solve(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    h = build_alpha(0.3)
+    cert = find_positive(metric_nullspace(h))
+    # The best scaling so far, the dyad, and the trivial bound.
+    assert cert.min_eigenvalue == pytest.approx(left_dyad_ratio(h), rel=1e-13)
+    assert cert.upper_bound == 1.0
+
+
+# The first 20 inside-D items of perfbench's certify workload at seed 4, as
+# (alpha,) or (a, b, d) of --full a b d d, and min_eigenvalue as the
+# Nelder-Mead polish reported it.
+POLISHED = [
+    ((0.4079292869700531,), 0.05786495505682625),
+    ((-0.012794407287753273, -0.03828099626331083, 0.7753279745556815), 0.12648225079548694),
+    ((0.41546090154801335,), 0.054298618545090764),
+    ((-0.04964829232514045, 1.0548051896011552, 0.7402564201893328), 0.060695490712089774),
+    ((0.1695108736123924,), 0.3298529973310305),
+    ((0.16035273579633813, 1.2278871866400927, 0.17784559086388962), 0.3655909192239889),
+    ((0.10033319253997305,), 0.5211035691605562),
+    ((0.5331897999503914, -2.439104619296029, 0.2623803794178797), 0.018271767044507163),
+    ((0.40744716357724187,), 0.05809922151555355),
+    ((0.570163285948202, 0.15199135645752726, 0.9631968275604523), 0.028253949360519552),
+    ((0.29765430453369757,), 0.13573596574335106),
+    ((-0.06845039542904185, 2.598110882244418, 0.07839458865251422), 0.05320885918585411),
+    ((0.25880353258463396,), 0.17907424618883577),
+    ((-0.16053564164588874, 1.7726893909592132, 0.5884715900521152), 0.025391180253935643),
+    ((0.5900207244025858,), 0.005819456828210179),
+    ((1.2757053680593842, -1.1237584612420868, 0.818668788182752), 0.01038311988072668),
+    ((0.22919510994821574,), 0.22003135025270099),
+    ((-0.5894059200642925, -0.4846787060719451, 0.2553300629827983), 0.23166878997859786),
+    ((0.5635965525362762,), 0.010212926714630395),
+    ((0.401320704893827, 2.0361364491372393, 0.5228762686985041), 0.0402721239834817),
+]
+
+
+def slice_model(a, b, d):
+    return build_full(ParamPoint(a, b, d, d))
+
+
+@pytest.mark.parametrize("point, polished", POLISHED)
+def test_scaling_solve_is_no_worse_than_the_polish(point, polished):
+    h = build_alpha(*point) if len(point) == 1 else slice_model(*point)
+    assert find_positive(metric_nullspace(h)).min_eigenvalue >= polished * (1.0 - 1e-13)
+
+
+def bound_tolerance(w):
+    """Allowed upper_bound - min_eigenvalue, relative, for a best Theta with
+    eigenvalues w (ascending).  It is 1e-10, plus a rounding term: eigh fixes
+    the smallest eigenvalue only to eps times the condition number, so the
+    centering resolves kappa no finer than about 1000 times that.  Where the
+    two lowest or the two highest eigenvalues are close, the bound, built
+    from the extreme eigenvectors, is also off by about their relative gap if
+    it takes both, or by the eigenvectors' rounding, eps over the gap (Davis
+    & Kahan 1970), if it splits them."""
+    eps = np.finfo(float).eps
+    w = np.asarray(w) / w[-1]
+    pairs = [(w[1] - w[0], w[0]), (w[-1] - w[-2], 1.0)]
+    split = sum(min(4.0 * gap / size, 64.0 * eps / gap) for gap, size in pairs if gap > 0.0)
+    return 1e-10 + 4096.0 * eps / w[0] + split
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.builds(build_alpha, st.floats(0.05, ALPHA_CRITICAL - 0.01)),
+        # Certified positive from margin 1e-6 on (see the one-millionth test); on the
+        # boundary itself, as at (0, 3 - 4e-16, 0), min_eigenvalue is ~1e-16.
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 1.5))
+        .filter(lambda p: in_domain(*p).margin >= 1e-6)
+        .map(lambda p: slice_model(*p)),
+    )
+)
+@example(slice_model(0.0, 0.0, 0.47598804490995306))  # both extreme eigenvalues double
+@example(slice_model(0.0, 5.960464477539063e-08, 0.5))  # both nearly double
+@example(slice_model(0.0, 3.1209493457892186e-142, 0.5))  # a diagonal ratio overflowed
+@example(slice_model(0.0, 3.0, 0.00390625))  # condition number 4e5
+@example(slice_model(0.0, 8.264188291868651e-147, 8.264188291868651e-147))  # H ~ diagonal
+@example(slice_model(0.0, 5.960464477539063e-08, 0.71875))
+@example(slice_model(1.7992224645830186, -1.1132958495347924, 1.2642044254003495))
+def test_certificate_inside_domain_is_positive_and_beats_the_dyad(h):
+    fam = metric_nullspace(h)
+    cert = find_positive(fam)
+    assert cert.positive
+    # Each ratio carries rounding of about eps times the condition number,
+    # and the fit over the basis (condition number up to about 50) more.
+    slack = 64.0 * np.finfo(float).eps / cert.min_eigenvalue
+    assert cert.min_eigenvalue >= left_dyad_ratio(h) * (1.0 - slack)
+    assert cert.min_eigenvalue <= cert.upper_bound * (1.0 + slack)
+    w = np.linalg.eigvalsh(sum(c * e for c, e in zip(cert.coefficients, fam.basis)))
+    assert cert.upper_bound - cert.min_eigenvalue <= bound_tolerance(w) * cert.min_eigenvalue
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(-0.999, 0.999))
+@example(1.0, 6.0, 1e-9)
+def test_best_scaling_of_a_2x2_matrix_equalizes_its_diagonal(a, c, r):
+    # For 2 x 2 the equilibrated scaling is optimal (Forsythe & Straus 1955):
+    # [[1, r], [r, 1]], with condition number (1 + |r|)/(1 - |r|).
+    off = r * math.sqrt(a * c)
+    s, bound = _best_scaling(np.array([[a, off], [off, c]]))
+    w = np.linalg.eigvalsh(np.array([[a, off], [off, c]]) / np.sqrt(np.outer(s, s)))
+    optimum = (1.0 - abs(r)) / (1.0 + abs(r))
+    assert w[0] / w[-1] == pytest.approx(optimum, rel=1e-12)
+    assert optimum <= bound * (1.0 + 1e-12)
+    assert bound - optimum <= bound_tolerance(w) * optimum
+
+
+def test_singular_gram_matrix_is_not_solved():
+    # Two equal left eigenvectors: K = U^T U has rank 1, as at an exceptional point.
+    assert _best_scaling(np.ones((2, 2))) is None
 
 
 def near_boundary_full_points(n_rays=6, seed=6):
@@ -526,7 +599,7 @@ def test_verdict_just_inside_the_exceptional_point(k, positive):
 
 @pytest.mark.parametrize("k", range(3, 13))
 def test_verdict_just_outside_the_exceptional_point(k, monkeypatch):
-    forbid_polish(monkeypatch)
+    forbid_solve(monkeypatch)
     cert = find_positive(metric_nullspace(build_alpha(math.sqrt(0.4 + 10.0**-k))))
     assert not cert.positive
 
@@ -536,7 +609,7 @@ def test_verdicts_at_margin_one_millionth_from_the_boundary(monkeypatch):
         fam = metric_nullspace(build_full(ParamPoint(a, b, d, d)))
         with monkeypatch.context() as patch:
             if target < 0:
-                forbid_polish(patch)
+                forbid_solve(patch)
             # As recorded with the polish on every input.
             assert find_positive(fam).positive is (target > 0)
 
