@@ -12,7 +12,8 @@ A positive-definite solution exists exactly when H is diagonalizable
 with a real spectrum, and every one is then U diag(1/s) U^T over the left
 eigenvectors U; :func:`find_positive` finds the best conditioned one as
 the optimal diagonal scaling of U^T U, with a dual bound.  Outside the
-domain no positive Theta exists, and the best fixed start is reported.
+domain no positive Theta exists; the certificate is the dyad over the real
+eigenvalues, or the pseudo-metric P when there is none.
 For the one-parameter band model the closed four-parameter family
 Theta(p, q, r, s) is available in closed form; the best achievable
 conditioning degrades to zero as the exceptional point alpha^2 = 2/5 is
@@ -45,7 +46,7 @@ class MetricFamily:
 
 @dataclass(frozen=True)
 class PositivityCertificate:
-    """Best positive candidate found in a family's span.
+    """Best positive candidate in a family's span.
 
     ``coefficients`` are the weights over the family basis of the
     reported candidate, normalized to unit largest eigenvalue of Theta;
@@ -53,7 +54,8 @@ class PositivityCertificate:
     normalization, and ``positive`` says whether it exceeds the fixed
     positivity tolerance 1e-12.  ``upper_bound`` is a dual bound on the best
     ``min_eigenvalue`` in the family, None outside the reality domain, where
-    no positive member exists and the candidate is the best fixed start.
+    no positive member exists and the candidate is the real-eigenvector dyad,
+    or P when no eigenvalue is real.
     """
 
     coefficients: tuple[float, ...]
@@ -162,25 +164,9 @@ def closed_form_band_metric(
     )
 
 
-def _signed_min_eig(theta: np.ndarray) -> tuple[float, float]:
-    """Smallest eigenvalue after scaling to unit largest eigenvalue.
-
-    The overall sign of a family member is free, so both Theta and
-    -Theta are considered; returns (normalized min eigenvalue, sign),
-    and (-inf, 1.0) for Theta = 0.
-    """
-    w = np.linalg.eigvalsh(theta)
-    # The sign whose largest eigenvalue is also the largest in magnitude
-    # has the better ratio (Theta on a tie); dividing by that eigenvalue
-    # cannot overflow, even for a nearly singular Theta.
-    if w[-1] >= -w[0]:
-        return (w[0] / w[-1], 1.0) if w[-1] > 0 else (-math.inf, 1.0)
-    return w[-1] / w[0], -1.0
-
-
 def _jacobi_eigenvalues(a: list[list[float]]) -> list[float]:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations
-    (Rutishauser 1966) in plain floats, so unlike eigvalsh the same bits
+    (Rutishauser 1966) in plain floats, so unlike LAPACK's the same bits
     under every BLAS/LAPACK kernel; ``a`` is overwritten.  An off-diagonal
     entry that cannot change either diagonal entry it couples, even a
     hundredfold, is dropped; the sweeps end when none is left."""
@@ -291,51 +277,41 @@ def _best_scaling(k: np.ndarray) -> tuple[np.ndarray, float] | None:
 
 
 def find_positive(fam: MetricFamily) -> PositivityCertificate:
-    """Best positive-definite metric in the family span, found deterministically.
+    """Best positive-definite metric in the family span, built from the spectrum.
 
     H is quasi-Hermitian exactly when it is diagonalizable with a real
     spectrum, and every metric is then U diag(1/s) U^T, s > 0, over its unit
     left eigenvectors U.  Its eigenvalues are those of S^-1/2 K S^-1/2 with
     K = U^T U, so :func:`_best_scaling` finds the best one globally (the
-    problem is quasiconvex), never worse than the dyad s = 1; its weights
-    over the basis are a least-squares fit.  With a non-real eigenvalue, or
-    K not numerically positive definite (an exceptional point), the
-    certificate is the best of the dyad over the real eigenvalues and the
-    signed basis elements, not positive, with no bound.  The reported
-    eigenvalues are :func:`_jacobi_eigenvalues`'.
+    problem is quasiconvex).  Otherwise (a mixed spectrum, or K singular at
+    an exceptional point) Theta is the dyad s = 1 over the real eigenvalues,
+    or P = basis[0] with none, and has no bound.  Its weights over the basis
+    are a least-squares fit; the reported eigenvalues are
+    :func:`_jacobi_eigenvalues`'.  RuntimeError if an eigenvalue overflows.
     """
     # Left eigenvectors of H (u^T H = E u^T) are the eigenvectors of H^T.
     w, u = np.linalg.eig(fam.h.T)
+    if not np.all(np.isfinite(w)):
+        raise RuntimeError("eigenvalues overflow the float range")
     real = np.abs(w.imag) < REALITY_TOL
     left = np.real(u[:, real])
-    mat = np.column_stack([e.ravel() for e in fam.basis])
-    stack = np.stack(fam.basis)
     if real.all():
         left = left / np.linalg.norm(left, axis=0)
     scaling = _best_scaling(left.T @ left) if real.all() else None
-    if scaling is not None:
-        s, upper = scaling
-        best_coeffs = np.linalg.lstsq(mat, ((left / s) @ left.T).ravel(), rcond=None)[0]
+    s, upper = scaling if scaling is not None else (1.0, None)
+    if real.any():
+        mat = np.column_stack([e.ravel() for e in fam.basis])
+        coeffs = np.linalg.lstsq(mat, ((left / s) @ left.T).ravel(), rcond=None)[0]
     else:
-        upper, best_min, candidates = None, -math.inf, list(np.eye(fam.dim))
-        if real.any():
-            # The dyad's least-squares weights over the family basis.
-            candidates.insert(0, np.linalg.lstsq(mat, (left @ left.T).ravel(), rcond=None)[0])
-        for coeffs in candidates:
-            # Theta = 0 scores -inf, which never beats the start.
-            m, sign = _signed_min_eig(_candidate(stack, coeffs))
-            if m > best_min:
-                best_min, best_coeffs = m, sign * coeffs
+        coeffs = np.eye(fam.dim)[0]  # P = basis[0]
 
-    # Report Theta scaled to unit largest eigenvalue.  Positivity below
-    # numerical noise, 1e-12, cannot be certified (e.g. the singular family
-    # at an exceptional point).
-    w = _jacobi_eigenvalues(_candidate(stack, best_coeffs).tolist())
+    # Theta at unit largest eigenvalue; positivity below noise, 1e-12, is not certified.
+    w = _jacobi_eigenvalues(_candidate(np.stack(fam.basis), coeffs).tolist())
     lo, hi = min(w), max(w)
-    if hi < -lo:  # a near tie that eigvalsh oriented the other way
-        best_coeffs, lo, hi = -best_coeffs, -hi, -lo
+    if hi < -lo:  # Theta's sign is free
+        coeffs, lo, hi = -coeffs, -hi, -lo
     return PositivityCertificate(
-        coefficients=tuple(float(c) for c in best_coeffs / hi),
+        coefficients=tuple(float(c) for c in coeffs / hi),
         min_eigenvalue=lo / hi,
         positive=lo / hi > 1e-12,
         upper_bound=upper,

@@ -50,6 +50,16 @@ def test_spectrum_whose_eigenvalues_overflow_is_a_numerical_failure(capsys):
     assert capsys.readouterr() == ("", "error: eigenvalues overflow the float range\n")
 
 
+@pytest.mark.parametrize(
+    "model", [["--full", "1e308", "1e308", "1e308", "1e308"], ["--alpha", "8e307"]]
+)
+def test_positivity_whose_eigenvalues_overflow_is_a_numerical_failure(capsys, model):
+    # It exited 0 with a certificate built from eigenvalues +-inf i, whose
+    # coefficients differed under each OpenBLAS core.
+    assert main(["metric", *model, "--positivity"]) == 1
+    assert capsys.readouterr() == ("", "error: eigenvalues overflow the float range\n")
+
+
 def test_linalg_error_is_a_numerical_failure(capsys, monkeypatch):
     def numeric_energies(*args):
         raise np.linalg.LinAlgError("eigenvalues did not converge")

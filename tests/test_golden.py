@@ -32,7 +32,7 @@ CASES = {
     "metric_alpha_0.3_basis_positivity.json": [
         "metric", "--alpha", "0.3", "--basis", "--positivity"
     ],
-    # Outside D: the best deterministic start, not positive and with no bound.
+    # Outside D with no real eigenvalue: the pseudo-metric P, ratio -1 and no bound.
     "metric_alpha_0.7_basis_positivity.json": [
         "metric", "--alpha", "0.7", "--basis", "--positivity"
     ],
