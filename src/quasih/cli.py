@@ -54,8 +54,8 @@ from quasih.serialize import csv_text, flags, floats, json_dumps, matrix_to_json
 MAX_SCAN_CELLS = 4_000_000
 
 #: Most points in a ``metric --profile`` sweep.  Each point is one family and
-#: certificate, 2-4 ms on a 2-core Xeon and no slower near the exceptional
-#: point (2.2 ms at alpha^2 = 0.4 - 1e-10): a full sweep takes about 40 s.
+#: certificate, 0.5-0.7 ms on a 2-core Xeon and no slower near the exceptional
+#: point (0.64 ms at alpha^2 = 0.4 - 1e-10): a full sweep takes about 8 s.
 MAX_PROFILE_POINTS = 10_000
 
 

@@ -9,11 +9,11 @@ returns the basis P H^k, k < n, built exactly in integers; a derogatory
 H, or one without such a P, raises ValueError.
 
 A positive-definite solution exists exactly when H is diagonalizable
-with a real spectrum, and every one is then U diag(1/s) U^T over the left
-eigenvectors U; :func:`find_positive` finds the best conditioned one as
-the optimal diagonal scaling of U^T U, with a dual bound.  Outside the
-domain no positive Theta exists; the certificate is the dyad over the real
-eigenvalues, or the pseudo-metric P when there is none.
+with a real spectrum, and every one is then U diag(1/s) U^T over the unit
+left eigenvectors U; :func:`find_positive` builds the best conditioned one
+in closed form, the Krein-normalized dyad s_n = |u_n^T P u_n|, with a dual
+bound.  Outside the domain no positive Theta exists; the certificate is the
+dyad over the real eigenvalues, or the pseudo-metric P when there is none.
 For the one-parameter band model the closed four-parameter family
 Theta(p, q, r, s) is available in closed form; the best achievable
 conditioning degrades to zero as the exceptional point alpha^2 = 2/5 is
@@ -202,14 +202,16 @@ def _candidate(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _dual_bound(lam: np.ndarray, v: np.ndarray) -> float:
-    """Upper bound on 1/cond at the optimal scaling, from the eigenpairs
-    (lam ascending, columns of v) of M = S^-1/2 K S^-1/2 at any s > 0.
+    """Upper bound on 1/cond of the best metric, from the eigenpairs (lam
+    ascending, columns of v) of M = Q^T Q, Q the left eigenvectors at any
+    scaling.
 
-    Any PSD Z1, Z2 and c > 0 bound every feasible kappa of S <= M <= kappa S
-    below by c tr(Z2 M)/tr(Z1 M + D), D the diagonal that tops diag(Z1) up
-    to c diag(Z2).  Z1, Z2 are the projectors on the j lowest and m highest
-    eigenvectors (the optimal pair's form), c each ratio of their diagonals,
-    and the best j, m, c is kept; D keeps entries rounded to ~0 harmless.
+    Any PSD Z1, Z2 and c > 0 bound every feasible kappa of S <= M <= kappa S,
+    S > 0 diagonal, below by c tr(Z2 M)/tr(Z1 M + D), D the diagonal that
+    tops diag(Z1) up to c diag(Z2).  Z1, Z2 are the projectors on the j
+    lowest and m highest eigenvectors (the optimal pair's form), c each ratio
+    of their diagonals, and the best j, m, c is kept; D keeps entries rounded
+    to ~0 harmless.
     """
     w = v * v
     low, high = np.cumsum(w, axis=1), np.cumsum(w[:, ::-1], axis=1)
@@ -220,72 +222,29 @@ def _dual_bound(lam: np.ndarray, v: np.ndarray) -> float:
     return 1.0 / float(np.max(c * np.cumsum(lam[::-1]) / (np.cumsum(lam)[:, None] + top_up)))
 
 
-def _best_scaling(k: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """The diagonal s > 0 of least cond(M), M = S^-1/2 K S^-1/2, for an SPD
-    K, and the least :func:`_dual_bound` over the centers; None when K is
-    not numerically positive definite.
-
-    This is the generalized-eigenvalue problem S <= K <= kappa S (Boyd, El
-    Ghaoui, Feron & Balakrishnan 1994, section 3.1), solved by the method of
-    centers (Boyd & El Ghaoui 1993): Newton steps on -log det(K - S) -
-    log det(kappa S - K), in the coordinates s/s_now and with one eigh of M
-    each, find the analytic center; then kappa <- 0.95 cond(M) + 0.05 kappa.
-    It starts at s = 1 and returns the best s seen, and stops when kappa -
-    cond(M) < 1e-12 cond(M) or when no step stays feasible.
-    """
-    lam, v = np.linalg.eigh(k)
-    if not lam[0] > len(k) * np.finfo(float).eps * lam[-1]:
-        return None
-    s = best_s = np.ones(len(k))
-    best = lam[-1] / lam[0]
-    kappa, bound = 2.0 * best, 1.0
-    while True:
-        # Rescale s so that M's spectrum sits in the middle of (1, kappa).
-        c = math.sqrt(lam[0] * lam[-1] / kappa)
-        s, lam, last = s * c, lam / c, math.inf
-        for _ in range(8):  # about 3 steps center; the cap only guards the loop
-            if not (lam[0] > 1.0 and lam[-1] < kappa):
-                return best_s, bound  # rounding left the barrier's domain
-            # (K - S)^-1 and kappa (kappa S - K)^-1, in the coordinates x.
-            f = np.array([1.0 / (lam - 1.0), kappa / (kappa - lam)])
-            z = (v * f[:, None, :]) @ v.T
-            d = np.diagonal(z, axis1=1, axis2=2)
-            g = d[0] - d[1]
-            try:
-                dx = np.linalg.solve((z * z).sum(axis=0), -g)
-            except np.linalg.LinAlgError:
-                return best_s, bound
-            dec = -(g @ dx)  # the squared Newton decrement; NaN fails x.min() below
-            if dec < 1e-8 or dec >= last:  # centered, or as near as rounding allows
-                break
-            last = dec
-            # Damped steps stay inside the barrier's domain, and so does the
-            # full step below decrement 1/4 (Nesterov & Nemirovskii 1994).
-            x = 1.0 + dx / (1.0 + math.sqrt(dec) if dec > 0.0625 else 1.0)
-            if not x.min() > 0.0:
-                return best_s, bound
-            s = s * x
-            r = 1.0 / np.sqrt(s)
-            lam, v = np.linalg.eigh(k * r[:, None] * r)
-            if lam[-1] / lam[0] < best:
-                best, best_s = lam[-1] / lam[0], s
-        bound = min(bound, _dual_bound(lam, v))
-        cond = lam[-1] / lam[0]
-        if kappa - cond < 1e-12 * cond:
-            return best_s, bound
-        kappa = 0.95 * cond + 0.05 * kappa
-
-
 def find_positive(fam: MetricFamily) -> PositivityCertificate:
     """Best positive-definite metric in the family span, built from the spectrum.
 
     H is quasi-Hermitian exactly when it is diagonalizable with a real
-    spectrum, and every metric is then U diag(1/s) U^T, s > 0, over its unit
-    left eigenvectors U.  Its eigenvalues are those of S^-1/2 K S^-1/2 with
-    K = U^T U, so :func:`_best_scaling` finds the best one globally (the
-    problem is quasiconvex).  Otherwise (a mixed spectrum, or K singular at
-    an exceptional point) Theta is the dyad s = 1 over the real eigenvalues,
-    or P = basis[0] with none, and has no bound.  Its weights over the basis
+    spectrum, and every metric is then Theta(W) = Q W Q^T, W > 0 diagonal,
+    over the left eigenvectors Q.  The best one is the Krein-normalized dyad
+    Theta* = sum_n q_n q_n^T / s_n, s_n = |q_n^T P q_n| over unit q_n (P·C,
+    the CPT metric of Bender, Brody & Jones 2002):
+
+    - distinct real eigenvalues make the q_n P-orthogonal, so Q^ = Q S^-1/2
+      has Q^T P Q^ = J = diag(+-1), and Theta(W)^-1 = P Theta(W^-1) P;
+    - so log cond Theta(e^x) = g(x) + g(-x), g = log lambda_max, for the
+      Theta(W) of Q^;
+    - g is convex (a maximum of log-sum-exps), so g(x) + g(-x) is convex and
+      even, least at x = 0: lambda_min lambda_max = 1 and cond Theta* =
+      sigma_max(Q^)^4.
+
+    ``upper_bound`` is :func:`_dual_bound` from the eigenpairs of Q^^T Q^.
+    At an exceptional point a Krein norm is 0, and eig's rounding leaves
+    about sqrt(eps); so a norm not above n sqrt(eps) marks the point, where
+    cond Theta* >= 1/s_n^2 is past any certifiable value.  There, and for a
+    mixed spectrum, Theta is the dyad s = 1 over the real eigenvalues, or
+    P = basis[0] with none, and has no bound.  Its weights over the basis
     are a least-squares fit; the reported eigenvalues are
     :func:`_jacobi_eigenvalues`'.  RuntimeError if an eigenvalue overflows.
     """
@@ -294,14 +253,16 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
     if not np.all(np.isfinite(w)):
         raise RuntimeError("eigenvalues overflow the float range")
     real = np.abs(w.imag) < REALITY_TOL
-    left = np.real(u[:, real])
+    left, upper = np.real(u[:, real]), None
     if real.all():
         left = left / np.linalg.norm(left, axis=0)
-    scaling = _best_scaling(left.T @ left) if real.all() else None
-    s, upper = scaling if scaling is not None else (1.0, None)
+        krein = np.abs(np.diagonal(fam.basis[0]) @ (left * left))
+        if krein.min() > fam.dim * math.sqrt(np.finfo(float).eps):
+            left = left / np.sqrt(krein)
+            upper = _dual_bound(*np.linalg.eigh(left.T @ left))
     if real.any():
         mat = np.column_stack([e.ravel() for e in fam.basis])
-        coeffs = np.linalg.lstsq(mat, ((left / s) @ left.T).ravel(), rcond=None)[0]
+        coeffs = np.linalg.lstsq(mat, (left @ left.T).ravel(), rcond=None)[0]
     else:
         coeffs = np.eye(fam.dim)[0]  # P = basis[0]
 

@@ -201,7 +201,7 @@ def test_scan_does_not_import_scipy_optimize():
     assert report["pmn"] == (GOLDEN / "pmn_d2_1.6.json").read_text()
 
 
-# The positivity solve is quasih's own method of centers: no scipy module at all.
+# The best metric is built in closed form, the Krein-normalized dyad: no scipy module at all.
 METRIC_PROBE = """
 import contextlib, io, json, sys
 import quasih.cli
