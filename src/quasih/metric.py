@@ -201,25 +201,18 @@ def _candidate(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.add.reduce(coeffs[:, None, None] * stack, axis=0, initial=0.0)
 
 
-def _dual_bound(lam: np.ndarray, v: np.ndarray) -> float:
-    """Upper bound on 1/cond of the best metric, from the eigenpairs (lam
-    ascending, columns of v) of M = Q^T Q, Q the left eigenvectors at any
-    scaling.
+def _dual_bound(m: np.ndarray, j: np.ndarray) -> float:
+    """Upper bound on 1/cond of the best metric, from M = Q^^T Q^ over the
+    Krein-normalized left eigenvectors and their Krein signs j, J = diag(j).
 
-    Any PSD Z1, Z2 and c > 0 bound every feasible kappa of S <= M <= kappa S,
-    S > 0 diagonal, below by c tr(Z2 M)/tr(Z1 M + D), D the diagonal that
-    tops diag(Z1) up to c diag(Z2).  Z1, Z2 are the projectors on the j
-    lowest and m highest eigenvectors (the optimal pair's form), c each ratio
-    of their diagonals, and the best j, m, c is kept; D keeps entries rounded
-    to ~0 harmless.
+    PSD Z1, Z2 of equal diagonals bound every t of t S <= M <= S, S > 0
+    diagonal, by tr(Z1 M)/tr(Z2 M).  Z1 = v v^T and Z2 = (Jv)(Jv)^T qualify
+    for any v, and M^-1 = J M J makes the ratio lambda_min/lambda_max, the
+    optimum, at M's lowest eigenvector.
     """
-    w = v * v
-    low, high = np.cumsum(w, axis=1), np.cumsum(w[:, ::-1], axis=1)
-    c, eps = np.zeros((len(w),) * 3), np.finfo(float).eps  # ratios over 1/eps may overflow
-    np.divide(low[:, :, None], high[:, None], out=c, where=high[:, None] > eps * low[:, :, None])
-    short = np.maximum(c[:, None] * high[None, :, None] - low[None, :, :, None], 0.0)
-    top_up = short.transpose(0, 2, 3, 1) @ (w @ lam)  # tr D M, as [c, j, m]
-    return 1.0 / float(np.max(c * np.cumsum(lam[::-1]) / (np.cumsum(lam)[:, None] + top_up)))
+    v = np.linalg.eigh(m)[1][:, 0]
+    jv = j * v
+    return float(v @ m @ v) / float(jv @ m @ jv)
 
 
 def find_positive(fam: MetricFamily) -> PositivityCertificate:
@@ -239,7 +232,9 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
       even, least at x = 0: lambda_min lambda_max = 1 and cond Theta* =
       sigma_max(Q^)^4.
 
-    ``upper_bound`` is :func:`_dual_bound` from the eigenpairs of Q^^T Q^.
+    ``upper_bound`` is :func:`_dual_bound`: (Jv)(Jv)^T, J the Krein signs, has
+    v v^T's diagonal, so v^T M v / (Jv)^T M (Jv), M = Q^^T Q^, bounds the best
+    ratio by weak duality, and meets it at M's lowest eigenvector.
     At an exceptional point a Krein norm is 0, and eig's rounding leaves
     about sqrt(eps); so a norm not above n sqrt(eps) marks the point, where
     cond Theta* >= 1/s_n^2 is past any certifiable value.  There, and for a
@@ -256,10 +251,10 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
     left, upper = np.real(u[:, real]), None
     if real.all():
         left = left / np.linalg.norm(left, axis=0)
-        krein = np.abs(np.diagonal(fam.basis[0]) @ (left * left))
-        if krein.min() > fam.dim * math.sqrt(np.finfo(float).eps):
-            left = left / np.sqrt(krein)
-            upper = _dual_bound(*np.linalg.eigh(left.T @ left))
+        krein = np.diagonal(fam.basis[0]) @ (left * left)
+        if np.abs(krein).min() > fam.dim * math.sqrt(np.finfo(float).eps):
+            left = left / np.sqrt(np.abs(krein))
+            upper = _dual_bound(left.T @ left, np.sign(krein))
     if real.any():
         mat = np.column_stack([e.ravel() for e in fam.basis])
         coeffs = np.linalg.lstsq(mat, (left @ left.T).ravel(), rcond=None)[0]

@@ -32,10 +32,10 @@ REALITY_TOL = 1e-9
 
 def _finite_square(h, max_dim: int) -> np.ndarray:
     """h as a float array, checked to be a square matrix of finite entries
-    and dimension at most max_dim."""
+    and dimension from 1 to max_dim."""
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
+        raise ValueError("matrix must be square, of dimension at least 1")
     if h.shape[0] > max_dim:
         raise ValueError(f"dimension {h.shape[0]} exceeds limit {max_dim}")
     if not np.all(np.isfinite(h)):

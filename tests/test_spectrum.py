@@ -17,6 +17,7 @@ from quasih import (
     build_two_state,
     classify_reality,
     closed_form_energies,
+    metric_nullspace,
     numeric_energies,
     quartic_energies,
     secular_coeffs,
@@ -160,3 +161,10 @@ def test_numeric_rejects_bad_input():
         numeric_energies(np.full((2, 2), np.nan))
     with pytest.raises(ValueError):
         numeric_energies(np.eye(65))
+
+
+@pytest.mark.parametrize("entry_point", [numeric_energies, metric_nullspace])
+def test_empty_matrix_is_rejected_by_name(entry_point):
+    # Both used to fail inside max() with "max() arg is an empty sequence".
+    with pytest.raises(ValueError, match="^matrix must be square, of dimension at least 1$"):
+        entry_point(np.zeros((0, 0)))
