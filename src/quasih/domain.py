@@ -1,17 +1,22 @@
 """Quasi-Hermiticity domain of the c^2 = d^2 model.
 
 Membership is decided by the two reality conditions A >= 0 and
-A^2 >= B >= 0 on the biquadratic invariants; the margin reported by
-:func:`in_domain` is the smallest of the three slacks, so the boundary is
-the margin's zero set.  The points of maximal non-Hermiticity (PMN), where
-all four energies merge at zero, are the intersections of the circle
+A^2 >= B >= 0 on the biquadratic invariants, each slack tested against
+its own rounding bound; the margin reported by :func:`in_domain` is the
+smallest of the three slacks, so the boundary is the margin's zero set.
+The points of maximal non-Hermiticity (PMN), where all four energies
+merge at zero, are the intersections of the circle
 a^2 + b^2 = 10 - 2 d^2 with the two hyperbolas d^2 = (b+3)(a-1) and
 d^2 = (b-3)(a+1).  They are the real roots of one quartic, which
 :func:`_real_roots` isolates between the real roots of its derivatives
 and refines with :func:`brentq`, which also refines the spike edges in
 :mod:`quasih.perturb` and the exit that a boundary ray's march brackets.
-All of this, the figure polylines included, is plain float and integer
-arithmetic; only the grid scan uses numpy, which it imports when called.
+Each caller already holds the values at the bracket ends (the isolation's
+end values, the march's last two margins) and hands them to
+:func:`brentq`, which uses them as f(a) and f(b) and does not evaluate f
+there again.  All of this, the figure polylines included, is plain float
+and integer arithmetic; only the grid scan uses numpy, which it imports
+when called.
 """
 
 from __future__ import annotations
@@ -74,29 +79,33 @@ class GridScan:
 def in_domain(a: float, b: float, d: float) -> DomainVerdict:
     """Decide whether (a, b, d) lies in the quasi-Hermiticity domain.
 
-    Outside only if the float margin min(A, A^2 - B, B) is below minus its
-    rounding bound :func:`_margin_bound`, so the exact margin is negative;
-    on the boundary if |margin| is within the bound, so it may be zero.
+    Outside only if one of the float slacks A, A^2 - B and B is below minus
+    its own rounding bound (:func:`_margin_bound`), so that exact slack is
+    negative; on the boundary if it is inside and some slack is within its
+    bound, so the exact margin min(A, A^2 - B, B) may be zero.
     """
-    _require_finite(a=a, b=b, d=d)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+        _require_finite(a=a, b=b, d=d)
     A, B, margin, inside, on_boundary = _margins(a, b, d, min)
-    return DomainVerdict(inside=inside, A=A, B=B, margin=margin, on_boundary=on_boundary)
+    return DomainVerdict(inside, A, B, margin, on_boundary)
 
 
 def _margins(a, b, d, minimum):
     """A, B, margin, inside, on_boundary of :func:`in_domain` at floats (with
-    min) or arrays (np.minimum), bit for bit.  Where the bound overflows, A
-    is negative far beyond its rounding: outside."""
+    min) or arrays (np.minimum), bit for bit.  Where the bound on A^2 - B
+    overflows, A is negative far beyond its rounding: outside."""
     A, B = _reduced_AB(a, b, d)
-    margin = minimum(minimum(A, A * A - B), B)
-    bound = _margin_bound(a, b, d)
-    finite = bound < math.inf
-    return A, B, margin, (margin >= -bound) & finite, (abs(margin) <= bound) & finite
+    AB = A * A - B
+    bound_A, bound_AB, bound_B = _margin_bound(a, b, d)
+    inside = (A >= -bound_A) & (AB >= -bound_AB) & (B >= -bound_B) & (bound_AB < math.inf)
+    near = (A <= bound_A) | (AB <= bound_AB) | (B <= bound_B)  # within the bound, if inside
+    return A, B, minimum(minimum(A, AB), B), inside, inside & near
 
 
 def _margin_bound(a, b, d):
-    """Bound on the rounding error of :func:`in_domain`'s float margin at
-    floats or arrays a, b, d (only +, * and abs: the same bits for both).
+    """Bounds on the rounding errors of the float slacks A, A^2 - B and B of
+    :func:`in_domain` at floats or arrays a, b, d (only +, * and abs: the
+    same bits for both).
 
     A result of +, - and * with at most k roundings on any path is off by
     at most gamma_k = k u / (1 - k u), u = 2^-53, times the same sums and
@@ -106,28 +115,43 @@ def _margin_bound(a, b, d):
     :func:`quasih.secular._reduced_AB`, A takes 3 roundings with
     A~ = 5 + d^2 + (a^2 + b^2)/2, p = d^2 - ab + 3 takes 3 with
     p~ = 3 + d^2 + |ab| and q = b - 3a takes 2 with q~ = |b| + 3|a|, so
-    A^2 - (p^2 - q^2) takes 9: the margin is off by at most gamma_9 s^2,
-    s = A~ + p~ + q~.  10 u s^2 in floats (14 roundings of non-negative
-    terms) exceeds 9.99 u s^2, and the spare u s^2 >= 8 u s covers underflow.
+    B = p^2 - q^2 takes 8 and A^2 - B takes 9.  The slacks A, A^2 - B and
+    B are off by at most gamma_3 A~, gamma_9 s^2 with s = A~ + p~ + q~, and
+    gamma_8 (p~^2 + q~^2).  In floats (at most 12 roundings of non-negative
+    terms) 4 u A~, 10 u s^2 and 9 u (p~^2 + q~^2) exceed 3.99 u A~,
+    9.99 u s^2 and 8.99 u (p~^2 + q~^2), and the spares, at least 4 u,
+    cover underflow.  Each slack needs its own bound: gamma_9 s^2 grows as
+    the fourth power of the couplings, so against it alone a point with
+    A = -5e15, at (a, b, d) = (0, 1e8, 0.5), counted as inside.
     """
-    s = 8.0 + 2.0 * (d * d) + 0.5 * (a * a + b * b) + abs(a * b) + abs(b) + 3.0 * abs(a)
-    return 10.0 * 2.0**-53 * s * s
+    dd = d * d
+    A_abs = 5.0 + dd + 0.5 * (a * a + b * b)
+    p_abs = 3.0 + dd + abs(a * b)
+    q_abs = abs(b) + 3.0 * abs(a)
+    s = A_abs + p_abs + q_abs
+    return (
+        4.0 * 2.0**-53 * A_abs,
+        10.0 * 2.0**-53 * s * s,
+        9.0 * 2.0**-53 * (p_abs * p_abs + q_abs * q_abs),
+    )
 
 
-def brentq(f, a, b) -> float:
-    """Root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
-    method (Brent 1973, ch. 4).
+def brentq(f, a, b, fa, fb) -> float:
+    """Root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign,
+    by Brent's method (Brent 1973, ch. 4).
 
-    It takes the steps of scipy.optimize.brentq(f, a, b, xtol=1e-300,
-    maxiter=2200) bit for bit: the same bracket updates, the same order of
-    floating-point operations.  The tolerances make it stop only when the
-    bracket is a few ulps wide; about 2,100 halvings close the widest float
-    bracket, and a RuntimeError is raised past 2,200 steps.  f must return
-    finite floats.
+    The caller hands over the end values it already holds; they are used
+    as f(a) and f(b), and f is called only inside the bracket.  It takes
+    the steps of scipy.optimize.brentq(f, a, b, xtol=1e-300, maxiter=2200)
+    bit for bit: the same bracket updates, the same order of
+    floating-point operations.  The tolerances make it stop
+    only when the bracket is a few ulps wide; about 2,100 halvings close
+    the widest float bracket, and a RuntimeError is raised past 2,200
+    steps.  f must return finite floats.
     """
     xtol, rtol = 1e-300, 4.0 * math.ulp(1.0)
     xpre, xcur = float(a), float(b)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+    fpre, fcur = float(fa), float(fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -141,15 +165,18 @@ def brentq(f, a, b) -> float:
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        afcur, afblk = abs(fcur), abs(fblk)
+        if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            afcur = afblk
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        asbis, aspre = abs(sbis), abs(spre)
+        if fcur == 0.0 or asbis < delta:
             return xcur
         stry = math.inf
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        if aspre > delta and afcur < abs(fpre):
             try:
                 if xpre == xblk:  # secant
                     stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -159,7 +186,7 @@ def brentq(f, a, b) -> float:
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             except ZeroDivisionError:
                 pass  # C gets inf or nan, which fails the test below, as inf does
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+        if 2 * abs(stry) < min(aspre, 3 * asbis - delta):
             spre, scur = scur, stry
         else:
             spre = scur = sbis
@@ -208,23 +235,26 @@ def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
     ints = [num * (unit // den) for num, den in ratios]
 
     def f(x: float) -> float:
-        # p(num/den) * unit * den^n by Horner in integers.
+        # p(num/2^k) * unit * 2^(kn) by Horner in integers: a float's
+        # denominator is a power of two, so its powers are shifts.
         num, den = x.as_integer_ratio()
-        value, power = ints[0], 1
+        k = den.bit_length() - 1
+        value, shift = ints[0], 0
         for m in ints[1:]:
-            power *= den
-            value = value * num + m * power
-        return value / (unit * power)
+            shift += k
+            value = value * num + (m << shift)
+        return value / (unit << shift)
 
     n = len(c) - 1
     ends = [lo, *_real_roots([ck * (n - k) for k, ck in enumerate(c[:n])], lo, hi), hi]
-    signs = [(v > 0.0) - (v < 0.0) for v in map(f, ends)]
+    values = list(map(f, ends))
+    signs = [(v > 0.0) - (v < 0.0) for v in values]
     roots: list[float] = []
-    for x0, x1, s0, s1 in zip(ends, ends[1:], signs, signs[1:]):
+    for x0, x1, v0, v1, s0, s1 in zip(ends, ends[1:], values, values[1:], signs, signs[1:]):
         if s0 == 0 and x0 not in roots:
             roots.append(x0)
         elif s0 * s1 < 0:
-            roots.append(brentq(f, x0, x1))
+            roots.append(brentq(f, x0, x1, v0, v1))
     if signs[-1] == 0 and hi not in roots:
         roots.append(hi)
     return roots
@@ -287,14 +317,15 @@ def boundary_trace_ray(
     def margin(t: float) -> float:
         return in_domain(a0 + t * dx, b0 + t * dy, d).margin
 
-    # Bracket the first sign change by outward marching.
-    t_lo, t_hi = 0.0, 0.25
-    while not margin(t_hi) < 0.0:
-        t_lo, t_hi = t_hi, t_hi + 0.25
+    # Bracket the first sign change by outward marching.  a0 + 0.0 * dx
+    # equals a0, so m0 is the margin at t = 0.
+    t_lo, t_hi, m_lo = 0.0, 0.25, m0
+    while not (m_hi := margin(t_hi)) < 0.0:
+        t_lo, t_hi, m_lo = t_hi, t_hi + 0.25, m_hi
         if t_hi > 100.0:
             raise BoundaryTraceError("no boundary crossing within ray length")
 
-    t_star = 0.0 if t_lo == 0.0 and m0 < 0.0 else brentq(margin, t_lo, t_hi)
+    t_star = 0.0 if t_lo == 0.0 and m0 < 0.0 else brentq(margin, t_lo, t_hi, m_lo, m_hi)
     return (a0 + t_star * dx, b0 + t_star * dy)
 
 

@@ -132,6 +132,23 @@ def test_scan_whose_margins_overflow_is_a_usage_error(capsys):
     assert capsys.readouterr() == ("", "error: overflow encountered in multiply\n")
 
 
+@pytest.mark.parametrize(
+    "argv, inside",
+    [
+        (["--d2", "1e16", "--range=-1:1:-1:1", "--res", "2x2"], []),
+        (["--d2", "1", "--range=-1e9:1e9:-1e9:1e9", "--res", "3x3"], [("0", "0")]),
+    ],
+)
+def test_scan_at_large_couplings_flags_only_points_of_the_domain(capsys, argv, inside):
+    # Every cell was flagged inside.  A is about -1e16 on the first grid and
+    # -5e17 at the second grid's outer cells, far below its own rounding but
+    # not below that of A^2 - B, against which the whole margin was tested.
+    # At d = 1 the origin's exact margin is A^2 - B = 16 - 16 = 0.
+    assert main(["scan", *argv]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(a, b) for a, b, flag, _ in rows if flag == "1"] == inside
+
+
 @pytest.mark.parametrize("res", ["20000x20000", "2001x2000", "1x4000001"])
 def test_scan_rejects_grids_above_the_cell_cap(res, capsys, monkeypatch):
     # Without the cap the grid was allocated, ending in a numpy memory error.

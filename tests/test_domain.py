@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -30,7 +31,8 @@ import quasih.cli
 import quasih.domain
 from quasih.cli import main
 from quasih.domain import BoundaryTraceError, _margin_bound, _real_roots, brentq
-from quasih.spectrum import REALITY_TOL
+from quasih.model import ParamPoint, build_full
+from quasih.spectrum import REALITY_TOL, numeric_energies
 
 finite4 = st.floats(min_value=-4, max_value=4, allow_nan=False)
 
@@ -46,6 +48,19 @@ def test_vertex_is_on_boundary():
     v = in_domain(2.0, 0.0, math.sqrt(3.0))
     assert v.on_boundary
     assert abs(v.A) < 1e-12 and abs(v.B) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["a", "b", "d"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_in_domain_names_a_non_finite_argument(name, value):
+    args = {"a": 0.5, "b": -0.25, "d": 0.75, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        in_domain(**args)
+
+
+def test_in_domain_accepts_integers():
+    assert in_domain(1, -1, 1) == in_domain(1.0, -1.0, 1.0)
+    assert in_domain(2, 0, 0) == in_domain(2.0, 0.0, 0.0)
 
 
 def test_large_d_is_outside():
@@ -189,20 +204,26 @@ def test_real_roots_refuse_roots_beyond_the_float_range():
 
 
 def brentq_brackets(source: str, rng: random.Random) -> list:
-    """The (f, a, b) that quasih hands to brentq on one seeded input.
+    """The (f, a, b, fa, fb) that quasih hands to brentq on one seeded input.
 
     "pmn", "spike" and "quartic" record what _real_roots passes, with its
-    exact-integer f; "near double" is a plain float polynomial with roots
-    2^-40 ... 2^-1 apart, bracketed around the lower one.
+    exact-integer f and the end values fa, fb it already holds; "near
+    double" is a plain float polynomial with roots 2^-40 ... 2^-1 apart,
+    bracketed around the lower one.
     """
     if source == "near double":
         r, e, lead = rng.uniform(-3, 3), 2.0 ** -rng.randint(1, 40), rng.choice([-8.0, 1.0])
-        return [(lambda x: lead * (x - r) * (x - r - e) * (x * x + 1.0), r - rng.random(), r + e / 2)]
+        a, b = r - rng.random(), r + e / 2
+
+        def f(x):
+            return lead * (x - r) * (x - r - e) * (x * x + 1.0)
+
+        return [(f, a, b, f(a), f(b))]
     calls = []
 
-    def record(f, a, b):
-        calls.append((f, a, b))
-        return brentq(f, a, b)
+    def record(f, a, b, fa, fb):
+        calls.append((f, a, b, fa, fb))
+        return brentq(f, a, b, fa, fb)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quasih.domain, "brentq", record)
@@ -229,10 +250,73 @@ def test_brentq_takes_scipys_steps_bit_for_bit(source, seed, exponent):
     from scipy.optimize import brentq as scipy_brentq
 
     scale = 10.0**exponent
-    for f, a, b in brentq_brackets(source, random.Random(seed)):
+    for f, a, b, *_ in brentq_brackets(source, random.Random(seed)):
         for g in (f, lambda x, f=f: f(x) * scale):
             want = scipy_brentq(g, a, b, xtol=1e-300, maxiter=2200)
-            assert brentq(g, a, b).hex() == want.hex()
+            assert brentq(g, a, b, g(a), g(b)).hex() == want.hex()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    source=st.sampled_from(["pmn", "spike", "quartic", "near double"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_brentq_is_handed_the_true_end_values(source, seed):
+    # brentq does not evaluate f at a and b; the end values it is handed
+    # must be exactly what f gives there.
+    for f, a, b, fa, fb in brentq_brackets(source, random.Random(seed)):
+        assert (fa.hex(), fb.hex()) == (float(f(a)).hex(), float(f(b)).hex())
+
+
+def evaluated_points(run) -> list:
+    """Each point at which boundary_trace_ray's margin, or the exact
+    evaluator of a _real_roots call, is evaluated while run() runs, tagged
+    with the ray or the polynomial.  A ray's center counts as t = 0."""
+    inner = {
+        code: name
+        for fn, name in ((boundary_trace_ray, "margin"), (_real_roots, "f"))
+        for code in fn.__code__.co_consts
+        if getattr(code, "co_name", None) == name
+    }
+    ray, center = boundary_trace_ray.__code__, in_domain.__code__
+    points = []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is center and frame.f_back.f_code is ray:
+            points.append(("margin", 0.0))
+        elif inner.get(frame.f_code) == "margin":
+            points.append(("margin", frame.f_locals["t"]))
+        elif inner.get(frame.f_code) == "f":
+            points.append((tuple(frame.f_locals["ints"]), frame.f_locals["x"]))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return points
+
+
+def test_no_point_is_evaluated_twice():
+    # brentq used to evaluate both bracket ends again, though the march and
+    # the root isolation had just evaluated them.
+    rng = random.Random(26)
+    runs = [functools.partial(pmn_points, rng.uniform(0.01, 4.99)) for _ in range(10)]
+    runs += [
+        functools.partial(spike_band_edges, rng.uniform(-2.0, 2.0), rng.uniform(1e-4, 0.5))
+        for _ in range(10)
+    ]
+    for _ in range(20):
+        angle, d = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 0.9)
+        center = (rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        direction = (math.cos(angle), math.sin(angle))
+        runs.append(functools.partial(boundary_trace_ray, center, direction, d))
+    for run in runs:
+        points = evaluated_points(run)
+        assert len(points) > 8
+        assert len(set(points)) == len(points), run
 
 
 def test_brentq_raises_past_its_step_limit_and_without_a_sign_change():
@@ -242,7 +326,10 @@ def test_brentq_raises_past_its_step_limit_and_without_a_sign_change():
     def cbrt(x):
         return math.copysign(abs(x) ** (1 / 3), x)
 
-    for solver in (brentq, functools.partial(scipy_brentq, xtol=1e-300, maxiter=2200)):
+    def ours(f, a, b):
+        return brentq(f, a, b, f(a), f(b))
+
+    for solver in (ours, functools.partial(scipy_brentq, xtol=1e-300, maxiter=2200)):
         with pytest.raises(RuntimeError, match="after 2200 iterations"):
             solver(cbrt, -1e308, 1.7e308)
         with pytest.raises(ValueError, match="different signs"):
@@ -377,12 +464,12 @@ def test_boundary_ray_from_a_center_just_outside(direction):
     center = (a, 0.0)
     v = in_domain(*center, 0.5)
     assert v.inside and v.on_boundary
-    assert -_margin_bound(*center, 0.5) <= v.margin < 0.0
+    assert -_margin_bound(*center, 0.5)[2] <= v.margin == v.B < 0.0
     assert boundary_trace_ray(center, direction, 0.5) == center
 
 
 def test_point_outside_by_more_than_rounding_is_outside():
-    # The margin is -5e-10: far beyond its rounding bound of about 1.7e-13,
+    # The margin B is -5e-10: far beyond its rounding bound of about 2.1e-14,
     # and the spectrum there is complex (|Im E| ~ 7.7e-6).  A fixed tolerance
     # of 1e-9 called the point inside and the ray started from it.
     center = (13.0 / 12.0 + 2.56e-11, 0.0)
@@ -393,17 +480,21 @@ def test_point_outside_by_more_than_rounding_is_outside():
         boundary_trace_ray(center, (1.0, 0.0), 0.5)
 
 
-def exact_margin(a: float, b: float, d: float) -> Fraction:
-    """min(A, A^2 - B, B) at the float inputs, in exact rationals."""
+def exact_slacks(a: float, b: float, d: float) -> tuple[Fraction, Fraction, Fraction]:
+    """A, A^2 - B and B at the float inputs, in exact rationals."""
     a, b, dd = Fraction(a), Fraction(b), Fraction(d) ** 2
     A = 5 - dd - (a * a + b * b) / 2
     B = (dd - a * b + 3) ** 2 - (b - 3 * a) ** 2
-    return min(A, A * A - B, B)
+    return A, A * A - B, B
 
 
 def assert_margin_within_bound(a: float, b: float, d: float):
-    error = abs(Fraction(in_domain(a, b, d).margin) - exact_margin(a, b, d))
-    assert error <= Fraction(_margin_bound(a, b, d))
+    # Each float slack is within its own bound of the exact one, so the
+    # margin, their minimum, is within the largest.
+    v = in_domain(a, b, d)
+    slacks = (v.A, v.A * v.A - v.B, v.B)
+    for got, want, bound in zip(slacks, exact_slacks(a, b, d), _margin_bound(a, b, d)):
+        assert abs(Fraction(got) - want) <= Fraction(bound)
 
 
 unit = st.floats(min_value=-1.0, max_value=1.0)
@@ -445,6 +536,96 @@ def test_overflowing_bound_is_outside_and_off_the_boundary(point):
     # A is -inf here; an unguarded abs(-inf) <= inf put the point on the boundary.
     v = in_domain(*point)
     assert not v.inside and not v.on_boundary
+
+
+@pytest.mark.parametrize(
+    "point", [(0.0, 1e8, 0.5), (0.0, 0.0, 1e8), (1e9, 0.0, 1.0), (2e77, 0.0, 0.0)]
+)
+def test_a_slack_far_below_its_own_rounding_is_outside(point):
+    # A is about -5e15, -1e16, -5e17 and -2e154 here, far below its own
+    # rounding, but each point was called inside (and on the boundary): the
+    # whole margin was tested against the rounding bound of A^2 - B, which
+    # grows as the fourth power of the couplings.
+    v = in_domain(*point)
+    assert not v.inside and not v.on_boundary
+    assert exact_slacks(*point)[0] < 0
+    a, b, d = point
+    assert numeric_energies(build_full(ParamPoint(a, b, d, d))).max_imag > 1e7
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, -0.25, 1.5, 2.0])
+def test_points_whose_exact_margin_is_zero_are_on_the_boundary(x):
+    # At d = 1, A^2 - B = 16 (1 - d^2) vanishes on the whole line b = -a, and
+    # A = 4 - x^2 and B = (x^2 - 4)^2 are non-negative for |x| <= 2.
+    assert min(exact_slacks(x, -x, 1.0)) == 0
+    v = in_domain(x, -x, 1.0)
+    assert v.inside and v.on_boundary
+
+
+def gamma(k: int) -> Fraction:
+    u = Fraction(1, 2**53)
+    return k * u / (1 - k * u)
+
+
+def exact_rounding_bounds(a: float, b: float, d: float) -> tuple[Fraction, Fraction, Fraction]:
+    """gamma_3 A~, gamma_9 s^2 and gamma_8 (p~^2 + q~^2) of _margin_bound, exactly."""
+    a, b, dd = Fraction(a), Fraction(b), Fraction(d) ** 2
+    A_abs = 5 + dd + (a * a + b * b) / 2
+    p_abs = 3 + dd + abs(a * b)
+    q_abs = abs(b) + 3 * abs(a)
+    s = A_abs + p_abs + q_abs
+    return gamma(3) * A_abs, gamma(9) * s * s, gamma(8) * (p_abs * p_abs + q_abs * q_abs)
+
+
+def near_a_slack_zero(rng: random.Random) -> tuple[float, float, float]:
+    """A seeded (a, b, d) a few ulps from A = 0, from A^2 = B or from B = 0,
+    the last two with couplings up to about 1e150, or anywhere at that scale."""
+    kind = rng.randrange(4)
+    scale = 10.0 ** rng.uniform(0.0, 150.0)
+    if kind == 0:  # A = 0: the circle a^2 + b^2 = 10 - 2 d^2
+        d, theta = rng.uniform(0.0, math.sqrt(5.0)), rng.uniform(0.0, 2.0 * math.pi)
+        r = math.sqrt(10.0 - 2.0 * d * d)
+        a, b = r * math.cos(theta), r * math.sin(theta)
+    elif kind == 1:  # A^2 = B: (2 + sigma delta)^2 = d^2 (4 - sigma^2)
+        sigma, d = rng.uniform(-2.0, 2.0), scale * rng.random()
+        delta = (-2.0 + rng.choice((-1.0, 1.0)) * d * math.sqrt(4.0 - sigma * sigma)) / sigma
+        a, b = sigma + delta, sigma - delta
+    elif kind == 2:  # B = 0: d^2 = (b + 3)(a - 1), or its mirror (-a, -b)
+        a, d = 1.0 + scale * rng.uniform(-1.0, 1.0), scale * rng.random()
+        a, b = rng.choice((-1.0, 1.0)) * a, rng.choice((-1.0, 1.0)) * (d * d / (a - 1.0) - 3.0)
+    else:
+        a, b, d = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 150.0) for _ in range(3))
+    point = []
+    for x in (a, b, d):
+        for _ in range(rng.randint(0, 8)):
+            x = math.nextafter(x, rng.choice((-math.inf, math.inf)))
+        point.append(x)
+    return tuple(point)
+
+
+def test_verdicts_agree_with_the_exact_slacks():
+    # Outside means some exact slack is negative, and inside off the boundary
+    # means all are positive.  A slack below minus twice its rounding bound
+    # makes the point outside, and each float slack is within its bound.
+    rng = random.Random(26)
+    for _ in range(3000):
+        a, b, d = near_a_slack_zero(rng)
+        v = in_domain(a, b, d)
+        exact = exact_slacks(a, b, d)
+        if not v.inside:
+            assert min(exact) < 0, (a, b, d)
+        elif not v.on_boundary:
+            assert min(exact) > 0, (a, b, d)
+        slacks = (v.A, v.A * v.A - v.B, v.B)
+        for got, want, bound, gamma_bound in zip(
+            slacks, exact, _margin_bound(a, b, d), exact_rounding_bounds(a, b, d)
+        ):
+            if want < -2 * gamma_bound:
+                assert not v.inside, (a, b, d)
+            if math.isfinite(bound):
+                assert gamma_bound <= Fraction(bound) <= 2 * gamma_bound
+            if math.isfinite(got):
+                assert abs(Fraction(got) - want) <= gamma_bound, (a, b, d)
 
 
 def mp_ray_exit(ux: float, uy: float, d: float):
@@ -501,8 +682,8 @@ def test_boundary_ray_is_the_50_digit_first_exit(monkeypatch):
     # on about one ray in ten the rounding moves it by more than 2 ulps.
     found = []
 
-    def recording_brentq(f, a, b):
-        found.append(brentq(f, a, b))
+    def recording_brentq(f, a, b, fa, fb):
+        found.append(brentq(f, a, b, fa, fb))
         return found[-1]
 
     monkeypatch.setattr(quasih.domain, "brentq", recording_brentq)
