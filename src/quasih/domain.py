@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from quasih.model import _require_finite
 from quasih.secular import _reduced_AB, constant_term
@@ -32,14 +33,14 @@ class BoundaryTraceError(RuntimeError):
     """Raised when a boundary ray search finds no sign change."""
 
 
-@dataclass(frozen=True)
-class DomainVerdict:
-    """Membership verdict and the constraint slacks behind it (see :func:`in_domain`)."""
+class DomainVerdict(NamedTuple):
+    """Verdict of :func:`in_domain`: the slacks and flags as a named tuple, in
+    the order of :func:`_margins` and of :class:`GridScan`'s arrays."""
 
-    inside: bool
     A: float
     B: float
     margin: float
+    inside: bool
     on_boundary: bool
 
 
@@ -86,8 +87,7 @@ def in_domain(a: float, b: float, d: float) -> DomainVerdict:
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
         _require_finite(a=a, b=b, d=d)
-    A, B, margin, inside, on_boundary = _margins(a, b, d, min)
-    return DomainVerdict(inside, A, B, margin, on_boundary)
+    return DomainVerdict._make(_margins(a, b, d, min))
 
 
 def _margins(a, b, d, minimum):

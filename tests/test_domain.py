@@ -1,11 +1,14 @@
 import argparse
 import contextlib
+import dataclasses
 import functools
 import io
+import json
 import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,7 +33,14 @@ from quasih import (
 import quasih.cli
 import quasih.domain
 from quasih.cli import main
-from quasih.domain import BoundaryTraceError, _margin_bound, _real_roots, brentq
+from quasih.domain import (
+    BoundaryTraceError,
+    DomainVerdict,
+    GridScan,
+    _margin_bound,
+    _real_roots,
+    brentq,
+)
 from quasih.model import ParamPoint, build_full
 from quasih.spectrum import REALITY_TOL, numeric_energies
 
@@ -61,6 +71,47 @@ def test_in_domain_names_a_non_finite_argument(name, value):
 def test_in_domain_accepts_integers():
     assert in_domain(1, -1, 1) == in_domain(1.0, -1.0, 1.0)
     assert in_domain(2, 0, 0) == in_domain(2.0, 0.0, 0.0)
+
+
+def verdict_points(rng: random.Random, count: int) -> list[tuple]:
+    """Seeded (a, b, d): floats in [-4, 4], small integers, -0.0 and
+    couplings of either sign up to 1e150."""
+    def coordinate():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.uniform(-4.0, 4.0)
+        if kind == 1:
+            return rng.randint(-5, 5)
+        if kind == 2:
+            return rng.choice((-0.0, 0.0))
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 150.0)
+
+    return [(coordinate(), coordinate(), coordinate()) for _ in range(count)]
+
+
+def test_verdict_is_the_margins_tuple_bit_for_bit():
+    def bits(values):
+        return [x.hex() if isinstance(x, float) else x for x in values]
+
+    for a, b, d in verdict_points(random.Random(27), 2000):
+        v = in_domain(a, b, d)
+        assert [type(x) for x in v] == [float, float, float, bool, bool], (a, b, d)
+        assert bits(tuple(v)) == bits(quasih.domain._margins(a, b, d, min)), (a, b, d)
+
+
+def test_verdict_fields_are_the_scan_arrays():
+    arrays = [field.name for field in dataclasses.fields(GridScan)]
+    assert arrays[:2] == ["a_values", "b_values"]
+    assert DomainVerdict._fields == tuple(arrays[2:])
+
+
+def test_verdicts_are_read_only_values():
+    for a, b, d in verdict_points(random.Random(28), 200):
+        v = in_domain(a, b, d)
+        assert v == in_domain(a, b, d), (a, b, d)
+        for name in ("A", "B", "margin", "inside", "on_boundary"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 0.0)
 
 
 def test_large_d_is_outside():
@@ -712,6 +763,43 @@ def test_boundary_ray_outside_center_rejected():
     # vertices a = +-2; the origin itself lies outside
     with pytest.raises(BoundaryTraceError):
         boundary_trace_ray((0.0, 0.0), (1.0, 0.0), math.sqrt(3.0))
+
+
+#: Pinned geometry: (d^2, (coef_c, t) of a spike) per case.  The 16 ray
+#: directions have exact components, and at these d^2 no ray from the
+#: origin re-enters D after its first exit, so the march's known overshoot
+#: of thin outside slivers plays no part.
+GEOMETRY_CASES = (
+    (0.25, (-0.75, 0.1)), (0.45, (-0.25, 0.05)), (0.65, (0.3, 0.15)), (0.85, (0.8, 0.02))
+)
+PIN_DIRECTIONS = (
+    (2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1),
+    (3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1),
+)
+GEOMETRY_PINS = Path(__file__).resolve().parent / "geometry_pins.json"
+
+
+def geometry_pins() -> dict:
+    """PMN points, ray exits from the origin and spike edges of each
+    GEOMETRY_CASES entry, every float as float.hex.  After an intended
+    change, write json.dumps(geometry_pins(), indent=1) to GEOMETRY_PINS."""
+    pins = {}
+    for d2, spike in GEOMETRY_CASES:
+        d = math.sqrt(d2)
+        pins[repr(d2)] = {
+            "pmn_points": [
+                [x.hex() for x in (p.a, p.b, p.d, *p.residuals)] for p in pmn_points(d2)
+            ],
+            "ray_exits": [
+                [x.hex() for x in boundary_trace_ray((0.0, 0.0), u, d)] for u in PIN_DIRECTIONS
+            ],
+            "spike_band_edges": [x.hex() for x in spike_band_edges(*spike)],
+        }
+    return pins
+
+
+def test_geometry_outputs_are_pinned_bit_for_bit():
+    assert geometry_pins() == json.loads(GEOMETRY_PINS.read_text())
 
 
 def test_scan_grid_small_inside():
