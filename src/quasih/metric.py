@@ -23,6 +23,7 @@ approached (the metric becomes singular on the domain boundary).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,9 @@ def metric_nullspace(h: np.ndarray) -> MetricFamily:
     ValueError.  H is an integer matrix over one power of two, as floats
     are dyadic, so the powers, the test that decides derogatory and each
     element over its largest entry are exact integers, each entry rounded
-    once: the basis depends on no BLAS/LAPACK kernel.  The residual sums
-    H^T Theta - Theta H with fsum over H scaled to largest entry in [1/2, 1).
+    once: the basis depends on no BLAS/LAPACK kernel.  Each entry of the residual
+    H^T Theta - Theta H, H scaled into [1/2, 1), is the fsum, exact in any order,
+    of its 2n products from one numpy multiply, each exactly rounded.
     """
     h = _finite_square(h, MAX_NULLSPACE_DIM)
     rows = h.tolist()
@@ -101,14 +103,15 @@ def metric_nullspace(h: np.ndarray) -> MetricFamily:
     signs = _sign_matrix(rows)
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     den = max(q for row in ratios for _, q in row)
-    m = [[p * (den // q) for p, q in row] for row in ratios]
+    cols = list(zip(*([p * (den // q) for p, q in row] for row in ratios)))  # H over den
     exact = [[signs[i] * int(i == j) for j in range(n)] for i in range(n)]  # P H^0
     family, pivots = [], []
     for k in range(n):
         if k:  # P H^k = (P H^(k-1)) H
-            exact = [[sum(a * b for a, b in zip(r, c)) for c in zip(*m)] for r in exact]
+            exact = [[sum(map(operator.mul, r, c)) for c in cols] for r in exact]
         # Fraction-free elimination of the upper triangle by the earlier pivot rows.
         row = [exact[i][j] for i in range(n) for j in range(i, n)]
+        top = max(map(abs, row))  # P H^k is symmetric: row holds every entry
         for col, pivot in pivots:
             if row[col]:
                 row = [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)]
@@ -117,16 +120,12 @@ def metric_nullspace(h: np.ndarray) -> MetricFamily:
             raise ValueError("matrix is derogatory (an eigenvalue has two Jordan blocks)")
         g = math.gcd(*row)
         pivots.append((col, [x // g for x in row]))
-        top = max(abs(x) for r in exact for x in r)
         family.append([[x / top for x in r] for r in exact])
-    hs = np.ldexp(h, -math.frexp(np.max(np.abs(h)))[1]).tolist()
-    defect = max(
-        abs(math.fsum(x for k in range(n) for x in (hs[k][i] * t[k][j], -t[i][k] * hs[k][j])))
-        for t in family
-        for i in range(n)
-        for j in range(n)
-    )
-    residual = defect / (max(abs(x) for row in hs for x in row) or 1.0)
+    hmax, e = math.frexp(np.max(np.abs(h)))  # hmax: hs's largest |entry|
+    hs, t = np.ldexp(h, -e), np.array(family)
+    # Entry (i, j) of H^T T - T H over k: the products hs[k, i] t[k, j], -t[i, k] hs[k, j].
+    terms = np.concatenate((hs.T[:, None] * t.swapaxes(1, 2)[:, None], -t[:, :, None] * hs.T), 3)
+    residual = max(map(abs, map(math.fsum, terms.reshape(-1, 2 * n).tolist()))) / (hmax or 1.0)
     return MetricFamily(h=h, dim=n, basis=tuple(map(np.array, family)), residual=residual)
 
 

@@ -25,6 +25,7 @@ from quasih import (
 import quasih.metric
 from quasih.metric import (
     ALPHA_CRITICAL,
+    MAX_NULLSPACE_DIM,
     _candidate,
     _jacobi_eigenvalues,
 )
@@ -760,6 +761,59 @@ def test_nullspace_is_invariant_under_power_of_two_scaling(k):
     assert scaled.dim == fam.dim == 4
     assert scaled.residual == fam.residual
     for e, f in zip(fam.basis, scaled.basis):
+        assert e.tobytes() == f.tobytes()
+
+
+def per_entry_residual(fam):
+    """Reference: each entry of H^T T - T H summed on its own by fsum over a
+    generator of its 2n products, H scaled to largest entry in [1/2, 1)."""
+    h, n = fam.h, fam.dim
+    hs = np.ldexp(h, -math.frexp(np.max(np.abs(h)))[1]).tolist()
+    defect = max(
+        abs(math.fsum(x for k in range(n) for x in (hs[k][i] * t[k][j], -t[i][k] * hs[k][j])))
+        for t in (e.tolist() for e in fam.basis)
+        for i in range(n)
+        for j in range(n)
+    )
+    return defect / (max(abs(x) for row in hs for x in row) or 1.0)
+
+
+def sign_symmetric_tridiagonal(n, seed):
+    """An irreducible tridiagonal matrix, so non-derogatory, whose couplings
+    h_(i+1)i = +-h_i(i+1) make it sign-symmetric."""
+    rng = np.random.default_rng(seed)
+    h = np.diag(rng.uniform(-3.0, 3.0, n))
+    upper = rng.uniform(0.1, 2.0, n - 1)
+    h[range(n - 1), range(1, n)] = upper
+    h[range(1, n), range(n - 1)] = rng.choice([-1.0, 1.0], n - 1) * upper
+    return h
+
+
+RESIDUAL_CASES = [
+    build_alpha(0.3),
+    build_alpha(0.7),  # beyond alpha_c
+    build_two_state(0.5),
+    sign_symmetric_tridiagonal(MAX_NULLSPACE_DIM, 16),
+    *(
+        build_full(ParamPoint(a * scale, b * scale, d * scale, d * scale))
+        for a, b, d in np.random.default_rng(28).uniform([-3, -3, 0.05], [3, 3, 1.5], (6, 3))
+        for scale in (1.0, 1e300, 1e-300)
+    ),
+]
+
+
+@pytest.mark.parametrize("h", RESIDUAL_CASES)
+def test_residual_is_the_per_entry_fsum_bit_for_bit(h):
+    fam = metric_nullspace(h)
+    assert fam.residual.hex() == per_entry_residual(fam).hex()
+    # The basis is a tuple of separate (n, n) float arrays, each owning its
+    # entries: no view into one shared stack.
+    n = len(h)
+    assert type(fam.basis) is tuple and len(fam.basis) == fam.dim == n
+    assert all(e.shape == (n, n) and e.dtype == float and e.base is None for e in fam.basis)
+    before = [e.copy() for e in fam.basis]
+    fam.basis[0][...] = 7.0
+    for e, f in zip(fam.basis[1:], before[1:]):
         assert e.tobytes() == f.tobytes()
 
 
