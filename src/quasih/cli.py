@@ -30,8 +30,8 @@ and ignored: the grid scan is one numpy evaluation.
 
 Each subcommand imports the library modules it uses when it runs, so
 ``dim``, ``pmn``, ``boundary``, ``fig1`` and ``perturb`` (``--critical``,
-``--series`` or ``--spike``) load no numpy; the others hand plain values
-(``.tolist()``) to :mod:`quasih.serialize`, which imports no numpy.
+``--series`` or ``--spike``) load no numpy.  Of :mod:`quasih.serialize`,
+only ``grid_csv``, which ``scan`` calls, imports numpy, inside the call.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import NoReturn
 
 from quasih import __version__
 from quasih.model import _require_finite
-from quasih.serialize import csv_text, flags, floats, json_dumps, matrix_to_json_dict
+from quasih.serialize import csv_text, flags, floats, grid_csv, json_dumps, matrix_to_json_dict
 
 #: Largest scan or fig2 grid, in cells: 2000x2000.  A grid holds several
 #: float64 arrays of this size and its CSV one row per cell.
@@ -196,16 +196,15 @@ def _cmd_scan(args) -> str:
 
     from quasih.domain import scan_grid
 
+    _require_finite(**{"--d2": args.d2})
     if args.d2 < 0:
         raise ValueError("d2 must be non-negative")
     na, nb = args.res
     if na * nb > MAX_SCAN_CELLS:
         raise ValueError(f"resolution {na}x{nb} exceeds {MAX_SCAN_CELLS} cells")
     with np.errstate(over="raise", invalid="raise"):  # a huge --d2 overflows A^2 - B
-        grid = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res)
-    a, b = floats(grid.a_values.tolist()), floats(grid.b_values.tolist())
-    columns = [x for x in a for _ in b], b * len(a), flags(grid.inside.ravel().tolist())
-    return csv_text(["a", "b", "inside", "margin"], *columns, floats(grid.margin.ravel().tolist()))
+        g = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res)
+    return grid_csv(["a", "b", "inside", "margin"], g.a_values, g.b_values, g.inside, g.margin)
 
 
 def _cmd_boundary(args) -> str:

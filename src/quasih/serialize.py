@@ -7,9 +7,10 @@ never contain timestamps, so equal inputs give byte-identical output.
 
 :func:`csv_text` joins columns of cell strings into rows, and
 :func:`floats` and :func:`flags` make those columns from plain Python
-sequences; a caller holding numpy arrays hands over ``.tolist()``.  The
-module imports no numpy.  :func:`json_dumps` writes what ``json.dumps(obj,
-indent=2)`` does, faster: ``indent`` keeps Python 3.11 off its C encoder.
+sequences; a caller holding numpy arrays hands over ``.tolist()``, but
+arrays to :func:`grid_csv`, one printf-style pass that alone imports numpy,
+inside the call.  :func:`json_dumps` writes what ``json.dumps(obj, indent=2)``
+does, faster: ``indent`` keeps Python 3.11 off its C encoder.
 """
 
 from __future__ import annotations
@@ -34,6 +35,21 @@ def csv_text(header: list[str], *columns: list[str]) -> str:
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*columns, strict=True)))
     return "\n".join(lines) + "\n"
+
+
+def grid_csv(header: list[str], a_values, b_values, inside, margin) -> str:
+    """:func:`csv_text` of the rows a_i, b_j, inside[i, j] as 1 or 0, margin[i, j],
+    a major; inside or margin not of shape (len(a), len(b)) raise ValueError."""
+    import numpy as np
+
+    rows = np.array([f"\n{x:.17g}," for x in np.asarray(a_values).tolist()], dtype=object)
+    cols = np.array([f"{y:.17g},{f}," for y in np.asarray(b_values).tolist() for f in "01"], object)
+    cells = np.empty((len(rows), len(cols) // 2, 3), dtype=object)
+    if np.shape(inside) != cells.shape[:2] or np.shape(margin) != cells.shape[:2]:
+        raise ValueError(f"inside and margin must have shape {cells.shape[:2]}")
+    cells[..., 0], cells[..., 2] = rows[:, None], margin  # %.17g: the digits of format(x, ".17g")
+    cells[..., 1] = cols[2 * np.arange(len(cols) // 2) + inside]
+    return (",".join(header) + "%s%s%.17g" * np.size(margin) + "\n") % tuple(cells.ravel().tolist())
 
 
 def _json_default(obj):

@@ -126,6 +126,34 @@ def test_scan_rejects_negative_d2(capsys):
     assert capsys.readouterr().err == "error: d2 must be non-negative\n"
 
 
+@pytest.mark.parametrize("d2", ["nan", "inf", "-inf"])
+def test_scan_names_a_d2_that_is_not_finite_by_its_flag(capsys, d2):
+    # It said "d must be finite", naming sqrt(d2), which the user never gave.
+    assert main(["scan", "--d2", d2, "--res", "2x2"]) == 2
+    assert capsys.readouterr() == ("", f"error: --d2 must be finite, got {float(d2)!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--d2", "1.6", "--res", "1x1"],
+        ["--d2", "1.6", "--res", "1x9"],
+        ["--d2", "1.6", "--res", "9x1"],
+        ["--d2", "0.3", "--range=-4:4:-2:3", "--res", "61x61"],
+        ["--d2", "1", "--range=-1e9:1e9:-1e9:1e9", "--res", "3x3"],
+    ],
+)
+def test_scan_prints_each_cell_as_format_17g(capsys, argv):
+    args = _parser().parse_args(["scan", *argv])
+    grid = quasih.domain.scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res)
+    expected = "a,b,inside,margin\n"
+    for i, a in enumerate(grid.a_values.tolist()):
+        for j, b in enumerate(grid.b_values.tolist()):
+            cells = (a, b, int(grid.inside[i, j]), float(grid.margin[i, j]))
+            expected += ",".join(format(x, ".17g") for x in cells) + "\n"
+    assert run(capsys, "scan", *argv) == (0, expected)
+
+
 def test_scan_whose_margins_overflow_is_a_usage_error(capsys):
     # It printed three warnings and rows with margin nan and inside 0, and exited 0.
     assert main(["scan", "--d2", "1e200", "--res", "2x2"]) == 2
@@ -170,7 +198,7 @@ def test_scan_accepts_a_grid_at_the_cell_cap(capsys, monkeypatch):
         return SimpleNamespace(a_values=empty, b_values=empty, inside=empty, margin=empty)
 
     monkeypatch.setattr(quasih.domain, "scan_grid", scan_grid)
-    monkeypatch.setattr(quasih.cli, "csv_text", lambda *args: "")
+    monkeypatch.setattr(quasih.cli, "grid_csv", lambda *args: "")
     assert main(["scan", "--d2", "1", "--res", "2000x2000"]) == 0
     assert calls[0][3] == (2000, 2000) and 2000 * 2000 == MAX_SCAN_CELLS
 
