@@ -30,8 +30,8 @@ and ignored: the grid scan is one numpy evaluation.
 
 Each subcommand imports the library modules it uses when it runs, so
 ``dim``, ``pmn``, ``boundary``, ``fig1`` and ``perturb`` (``--critical``,
-``--series`` or ``--spike``) load no numpy.  Of :mod:`quasih.serialize`,
-only ``grid_csv``, which ``scan`` calls, imports numpy, inside the call.
+``--series`` or ``--spike``) load no numpy.  Every CSV is one printf-style
+pass of :func:`quasih.serialize.csv_text`, which imports no numpy.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import NoReturn
 
 from quasih import __version__
 from quasih.model import _require_finite
-from quasih.serialize import csv_text, flags, floats, grid_csv, json_dumps, matrix_to_json_dict
+from quasih.serialize import csv_text, json_dumps, matrix_to_json_dict
 
 #: Largest scan or fig2 grid, in cells: 2000x2000.  A grid holds several
 #: float64 arrays of this size and its CSV one row per cell.
@@ -158,7 +158,10 @@ def _fields(text: str, sep: str, kinds: tuple, usage: str) -> tuple:
 
 
 def _parse_range(text: str) -> tuple[float, float, float, float]:
-    return _fields(text, ":", (float,) * 4, "range must be a_min:a_max:b_min:b_max")
+    a0, a1, b0, b1 = _fields(text, ":", (float,) * 4, "range must be a_min:a_max:b_min:b_max")
+    if not all(map(math.isfinite, (a0, a1, b0, b1, a1 - a0, b1 - b0))):
+        raise argparse.ArgumentTypeError("range ends and their spans must be finite")
+    return a0, a1, b0, b1
 
 
 def _parse_res(text: str) -> tuple[int, int]:
@@ -204,7 +207,14 @@ def _cmd_scan(args) -> str:
         raise ValueError(f"resolution {na}x{nb} exceeds {MAX_SCAN_CELLS} cells")
     with np.errstate(over="raise", invalid="raise"):  # a huge --d2 overflows A^2 - B
         g = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res)
-    return grid_csv(["a", "b", "inside", "margin"], g.a_values, g.b_values, g.inside, g.margin)
+    # Labels "\na," per a and "b,0," or "b,1," per b, formatted once; a tuple, so
+    # that no list of every cell stays alive during the %.
+    rows = np.array([f"\n{x:.17g}," for x in g.a_values.tolist()], dtype=object)
+    cols = np.array([f"{y:.17g},{f}," for y in g.b_values.tolist() for f in "01"], object)
+    cells = np.empty((*g.margin.shape, 3), dtype=object)
+    cells[..., 0], cells[..., 2] = rows[:, None], g.margin
+    cells[..., 1] = cols[2 * np.arange(len(g.b_values)) + g.inside]
+    return csv_text(["a", "b", "inside", "margin"], "%s%s%.17g", tuple(cells.ravel().tolist()))
 
 
 def _cmd_boundary(args) -> str:
@@ -245,8 +255,8 @@ def _cmd_metric(args) -> str:
         if args.basis or args.positivity:
             raise ValueError("--profile excludes --basis and --positivity")
         lo, hi, n = args.profile
-        alphas, values = zip(*boundary_degeneracy_profile(np.linspace(lo, hi, n).tolist()))
-        return csv_text(["alpha", "min_eig"], floats(alphas), floats(values))
+        profile = boundary_degeneracy_profile(np.linspace(lo, hi, n).tolist())
+        return csv_text(["alpha", "min_eig"], "\n%.17g,%.17g", [x for row in profile for x in row])
 
     fam = metric_nullspace(_matrix(args))
     doc = {"dim": fam.dim, "residual": fam.residual}
@@ -342,9 +352,8 @@ def _cmd_fig2(args) -> str:
         t = np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps)[:, None]
         coef_a = np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a)
         a, c = np.broadcast_arrays(*_spike_coords(t, coef_a, args.coef_c, corner))
-        inside = _margins(a, 0.0, c, np.minimum)[3]
-    a, c, inside = (cells.ravel().tolist() for cells in (a, c, inside))
-    return csv_text(["a", "c", "inside"], floats(a), floats(c), flags(inside))
+        cells = np.stack((a, c, _margins(a, 0.0, c, np.minimum)[3]), axis=-1)
+    return csv_text(["a", "c", "inside"], "\n%.17g,%.17g,%d", tuple(cells.ravel().tolist()))
 
 
 def _cmd_dim(args) -> str:

@@ -5,12 +5,14 @@ Python's shortest round-trip repr; both read back as the same float64,
 with '.' as the decimal separator and no locale dependence.  Data files
 never contain timestamps, so equal inputs give byte-identical output.
 
-:func:`csv_text` joins columns of cell strings into rows, and
-:func:`floats` and :func:`flags` make those columns from plain Python
-sequences; a caller holding numpy arrays hands over ``.tolist()``, but
-arrays to :func:`grid_csv`, one printf-style pass that alone imports numpy,
-inside the call.  :func:`json_dumps` writes what ``json.dumps(obj, indent=2)``
-does, faster: ``indent`` keeps Python 3.11 off its C encoder.
+:func:`csv_text` is the one CSV writer: the caller gives a printf-style
+template for one row and the cells of every row in order, and one ``%``
+pass writes the text.  In a template ``%.17g`` writes a float as
+``format(x, ".17g")`` does (both call ``PyOS_double_to_string``), ``%d``
+a flag, true or 1.0 as 1 and false or 0.0 as 0, and ``%s`` a label the
+caller formatted itself.  :func:`json_dumps` writes what
+``json.dumps(obj, indent=2)`` does, faster: ``indent`` keeps Python 3.11
+off its C encoder.  The module imports only the standard library.
 """
 
 from __future__ import annotations
@@ -19,37 +21,13 @@ import math
 from json.encoder import encode_basestring_ascii as _quote
 
 
-def floats(values) -> list[str]:
-    """Each float at 17 significant digits."""
-    return [format(x, ".17g") for x in values]
-
-
-def flags(values) -> list[str]:
-    """Each truth value as 1 or 0."""
-    return ["1" if x else "0" for x in values]
-
-
-def csv_text(header: list[str], *columns: list[str]) -> str:
-    """CSV text with header, row i made of cell i of each column; columns
-    of unequal length raise ValueError."""
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*columns, strict=True)))
-    return "\n".join(lines) + "\n"
-
-
-def grid_csv(header: list[str], a_values, b_values, inside, margin) -> str:
-    """:func:`csv_text` of the rows a_i, b_j, inside[i, j] as 1 or 0, margin[i, j],
-    a major; inside or margin not of shape (len(a), len(b)) raise ValueError."""
-    import numpy as np
-
-    rows = np.array([f"\n{x:.17g}," for x in np.asarray(a_values).tolist()], dtype=object)
-    cols = np.array([f"{y:.17g},{f}," for y in np.asarray(b_values).tolist() for f in "01"], object)
-    cells = np.empty((len(rows), len(cols) // 2, 3), dtype=object)
-    if np.shape(inside) != cells.shape[:2] or np.shape(margin) != cells.shape[:2]:
-        raise ValueError(f"inside and margin must have shape {cells.shape[:2]}")
-    cells[..., 0], cells[..., 2] = rows[:, None], margin  # %.17g: the digits of format(x, ".17g")
-    cells[..., 1] = cols[2 * np.arange(len(cols) // 2) + inside]
-    return (",".join(header) + "%s%s%.17g" * np.size(margin) + "\n") % tuple(cells.ravel().tolist())
+def csv_text(header: list[str], row: str, cells) -> str:
+    """CSV text with header, then template row filled by each run of
+    row.count("%") cells; cells that do not fill whole rows raise ValueError."""
+    rows, rest = divmod(len(cells), row.count("%"))
+    if rest:
+        raise ValueError(f"{len(cells)} cells do not fill rows of {row.count('%')}")
+    return (",".join(header) + row * rows + "\n") % tuple(cells)
 
 
 def _json_default(obj):
@@ -84,7 +62,7 @@ def json_dumps(obj) -> str:
     return _emit(obj, "\n") + "\n"
 
 
-def matrix_to_json_dict(m: np.ndarray) -> dict:
+def matrix_to_json_dict(m) -> dict:
     """Matrix as {"n": ..., "rows": [[...], ...]}."""
     rows = m.tolist()
     return {"n": len(rows), "rows": rows}

@@ -139,6 +139,9 @@ def test_scan_names_a_d2_that_is_not_finite_by_its_flag(capsys, d2):
         ["--d2", "1.6", "--res", "1x1"],
         ["--d2", "1.6", "--res", "1x9"],
         ["--d2", "1.6", "--res", "9x1"],
+        ["--d2", "1.6", "--res", "2x7"],
+        ["--d2", "1.6", "--res", "7x2"],
+        ["--d2", "1.6", "--range=4:-4:3:-2", "--res", "5x3"],
         ["--d2", "0.3", "--range=-4:4:-2:3", "--res", "61x61"],
         ["--d2", "1", "--range=-1e9:1e9:-1e9:1e9", "--res", "3x3"],
     ],
@@ -152,6 +155,27 @@ def test_scan_prints_each_cell_as_format_17g(capsys, argv):
             cells = (a, b, int(grid.inside[i, j]), float(grid.margin[i, j]))
             expected += ",".join(format(x, ".17g") for x in cells) + "\n"
     assert run(capsys, "scan", *argv) == (0, expected)
+
+
+ENDS = ["0", "1", "0", "1"]
+NOT_FINITE_ENDS = [
+    ":".join(ENDS[:k] + [end] + ENDS[k + 1 :]) for k in range(4) for end in ("nan", "inf", "-inf")
+]
+OVERFLOWING_SPANS = ["-1e308:1e308:0:1", "0:1:1e308:-1e308", "-1.7e308:1.7e308:-1:1"]
+
+
+@pytest.mark.parametrize("text", NOT_FINITE_ENDS + OVERFLOWING_SPANS)
+def test_scan_names_a_range_that_is_not_finite_by_its_flag(tmp_path, capsys, text):
+    # A non-finite end printed "a must be finite, got nan", naming a parameter
+    # of scan_grid, and a span past the float range numpy's bare "overflow
+    # encountered in subtract".
+    message = "error: argument --range: range ends and their spans must be finite\n"
+    assert main(["scan", "--d2", "1", f"--range={text}", "--res", "2x2"]) == 2
+    assert capsys.readouterr() == ("", message)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"d2 = 1\nrange = {text}\nres = 2x2\n")
+    assert main(["scan", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_scan_whose_margins_overflow_is_a_usage_error(capsys):
@@ -194,11 +218,11 @@ def test_scan_accepts_a_grid_at_the_cell_cap(capsys, monkeypatch):
 
     def scan_grid(*args):
         calls.append(args)
-        empty = np.zeros(0)
-        return SimpleNamespace(a_values=empty, b_values=empty, inside=empty, margin=empty)
+        axis, cells = np.zeros(0), np.zeros((0, 0))
+        return SimpleNamespace(a_values=axis, b_values=axis, inside=cells > 0, margin=cells)
 
     monkeypatch.setattr(quasih.domain, "scan_grid", scan_grid)
-    monkeypatch.setattr(quasih.cli, "grid_csv", lambda *args: "")
+    monkeypatch.setattr(quasih.cli, "csv_text", lambda *args: "")
     assert main(["scan", "--d2", "1", "--res", "2000x2000"]) == 0
     assert calls[0][3] == (2000, 2000) and 2000 * 2000 == MAX_SCAN_CELLS
 
@@ -359,6 +383,16 @@ def test_missing_files_are_one_line_usage_errors(tmp_path, capsys, argv):
 def test_tol_only_where_it_is_used(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+def test_metric_profile_prints_each_cell_as_format_17g(capsys):
+    # The last alpha is sqrt(2/5), the exceptional point, whose value is nan.
+    lo, hi, n = 0.6, 0.6324555320336759, 2
+    expected = "alpha,min_eig\n"
+    for row in quasih.metric.boundary_degeneracy_profile(np.linspace(lo, hi, n).tolist()):
+        expected += ",".join(format(x, ".17g") for x in row) + "\n"
+    assert expected.endswith(",nan\n")
+    assert run(capsys, "metric", "--profile", f"{lo}:{hi}:{n}") == (0, expected)
 
 
 def test_metric_profile_needs_at_least_one_point(capsys):
