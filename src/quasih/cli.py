@@ -205,8 +205,11 @@ def _cmd_scan(args) -> str:
     na, nb = args.res
     if na * nb > MAX_SCAN_CELLS:
         raise ValueError(f"resolution {na}x{nb} exceeds {MAX_SCAN_CELLS} cells")
-    with np.errstate(over="raise", invalid="raise"):  # a huge --d2 overflows A^2 - B
-        g = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            g = scan_grid(args.range[:2], args.range[2:], math.sqrt(args.d2), args.res)
+    except FloatingPointError:
+        raise ValueError("--d2 and --range put the margins beyond the float range")
     # Labels "\na," per a and "b,0," or "b,1," per b, formatted once; a tuple, so
     # that no list of every cell stays alive during the %.
     rows = np.array([f"\n{x:.17g}," for x in g.a_values.tolist()], dtype=object)
@@ -348,11 +351,14 @@ def _cmd_fig2(args) -> str:
     # One ansatz for the whole scan: it warns once if t_max is past the policy bound.
     SpikeAnsatz(t=args.t_max, coef_a=args.coef_c, coef_c=args.coef_c)
     corner = (args.corner_a, args.corner_c)
-    with np.errstate(over="raise", invalid="raise"):  # a huge --t-max or --coef-c is a usage error
-        t = np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps)[:, None]
-        coef_a = np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a)
-        a, c = np.broadcast_arrays(*_spike_coords(t, coef_a, args.coef_c, corner))
-        cells = np.stack((a, c, _margins(a, 0.0, c, np.minimum)[3]), axis=-1)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            t = np.linspace(args.t_max / args.t_steps, args.t_max, args.t_steps)[:, None]
+            coef_a = np.linspace(args.coef_c - 1.0, args.coef_c + 1.5, args.res_a)
+            a, c = np.broadcast_arrays(*_spike_coords(t, coef_a, args.coef_c, corner))
+            cells = np.stack((a, c, _margins(a, 0.0, c, np.minimum)[3]), axis=-1)
+    except FloatingPointError:
+        raise ValueError("--coef-c and --t-max put the spike points beyond the float range")
     return csv_text(["a", "c", "inside"], "\n%.17g,%.17g,%d", tuple(cells.ravel().tolist()))
 
 

@@ -83,11 +83,12 @@ def in_domain(a: float, b: float, d: float) -> DomainVerdict:
     Outside only if one of the float slacks A, A^2 - B and B is below minus
     its own rounding bound (:func:`_margin_bound`), so that exact slack is
     negative; on the boundary if it is inside and some slack is within its
-    bound, so the exact margin min(A, A^2 - B, B) may be zero.
+    bound, so the exact margin min(A, A^2 - B, B) may be zero.  One test
+    guards the arguments: a + b + d is not finite if any of them is not.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+    if not math.isfinite(a + b + d):
         _require_finite(a=a, b=b, d=d)
-    return DomainVerdict._make(_margins(a, b, d, min))
+    return tuple.__new__(DomainVerdict, _margins(a, b, d, min))
 
 
 def _margins(a, b, d, minimum):
@@ -143,13 +144,14 @@ def brentq(f, a, b, fa, fb) -> float:
     The caller hands over the end values it already holds; they are used
     as f(a) and f(b), and f is called only inside the bracket.  It takes
     the steps of scipy.optimize.brentq(f, a, b, xtol=1e-300, maxiter=2200)
-    bit for bit: the same bracket updates, the same order of
-    floating-point operations.  The tolerances make it stop
-    only when the bracket is a few ulps wide; about 2,100 halvings close
-    the widest float bracket, and a RuntimeError is raised past 2,200
-    steps.  f must return finite floats.
+    bit for bit: the same bracket updates, the same order of floating-point
+    operations.  The tolerances make it stop only when the bracket is a few
+    ulps wide; about 2,100 halvings close the widest float bracket, and a
+    RuntimeError is raised past 2,200 steps.  f must return finite floats.
+    The loop, the geometry workload's hottest Python, spells abs and min
+    (min's rule) as conditional expressions, not calls; the bits are scipy's.
     """
-    xtol, rtol = 1e-300, 4.0 * math.ulp(1.0)
+    xtol, rtol, inf = 1e-300, 4.0 * math.ulp(1.0), math.inf
     xpre, xcur = float(a), float(b)
     fpre, fcur = float(fa), float(fb)
     if fpre == 0.0:
@@ -165,18 +167,18 @@ def brentq(f, a, b, fa, fb) -> float:
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
-        afcur, afblk = abs(fcur), abs(fblk)
+        afcur, afblk = (fcur if fcur >= 0.0 else -fcur), (fblk if fblk >= 0.0 else -fblk)
         if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
             afcur = afblk
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + rtol * (xcur if xcur >= 0.0 else -xcur)) / 2
         sbis = (xblk - xcur) / 2
-        asbis, aspre = abs(sbis), abs(spre)
+        asbis, aspre = (sbis if sbis >= 0.0 else -sbis), (spre if spre >= 0.0 else -spre)
         if fcur == 0.0 or asbis < delta:
             return xcur
-        stry = math.inf
-        if aspre > delta and afcur < abs(fpre):
+        stry, lim = inf, 3 * asbis - delta
+        if aspre > delta and afcur < (fpre if fpre >= 0.0 else -fpre):
             try:
                 if xpre == xblk:  # secant
                     stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -186,12 +188,12 @@ def brentq(f, a, b, fa, fb) -> float:
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
             except ZeroDivisionError:
                 pass  # C gets inf or nan, which fails the test below, as inf does
-        if 2 * abs(stry) < min(aspre, 3 * asbis - delta):
+        if 2 * (stry if stry >= 0.0 else -stry) < (lim if lim < aspre else aspre):
             spre, scur = scur, stry
         else:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        xcur += scur if scur > delta or -scur > delta else (delta if sbis > 0 else -delta)
         fcur = float(f(xcur))
     raise RuntimeError(f"Failed to converge after 2200 iterations, value is {xcur}")
 
@@ -232,15 +234,15 @@ def _real_roots(coeffs, lo: float, hi: float) -> list[float]:
         return [x] if lo <= (x := -c[1] / c[0]) <= hi else []
     ratios = [ck.as_integer_ratio() for ck in c]
     unit = max(den for _, den in ratios)
-    ints = [num * (unit // den) for num, den in ratios]
+    lead, *rest = [num * (unit // den) for num, den in ratios]
 
     def f(x: float) -> float:
         # p(num/2^k) * unit * 2^(kn) by Horner in integers: a float's
         # denominator is a power of two, so its powers are shifts.
         num, den = x.as_integer_ratio()
         k = den.bit_length() - 1
-        value, shift = ints[0], 0
-        for m in ints[1:]:
+        value, shift = lead, 0
+        for m in rest:
             shift += k
             value = value * num + (m << shift)
         return value / (unit << shift)

@@ -179,9 +179,13 @@ def test_scan_names_a_range_that_is_not_finite_by_its_flag(tmp_path, capsys, tex
 
 
 def test_scan_whose_margins_overflow_is_a_usage_error(capsys):
-    # It printed three warnings and rows with margin nan and inside 0, and exited 0.
+    # It printed three warnings and rows with margin nan and inside 0, and exited 0;
+    # later numpy's bare "overflow encountered in multiply", naming no flag.
     assert main(["scan", "--d2", "1e200", "--res", "2x2"]) == 2
-    assert capsys.readouterr() == ("", "error: overflow encountered in multiply\n")
+    message = "error: --d2 and --range put the margins beyond the float range\n"
+    assert capsys.readouterr() == ("", message)
+    assert main(["scan", "--d2", "1", "--range=-1e200:1e200:0:1", "--res", "2x2"]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize(
@@ -763,6 +767,9 @@ def test_fig2_warning_is_one_stderr_line(capsys):
     )
 
 
+FIG2_OVERFLOW = "--coef-c and --t-max put the spike points beyond the float range"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -770,14 +777,15 @@ def test_fig2_warning_is_one_stderr_line(capsys):
         (["--t-max", "nan"], "--t-max must be finite, got nan"),
         (["--coef-c", "nan"], "--coef-c must be finite, got nan"),
         (["--t-max", "-0.02"], "--t-max: spike parameter t must be non-negative"),
-        (["--t-max", "1e200"], "overflow encountered in multiply"),
-        (["--coef-c", "1e300"], "overflow encountered in multiply"),
+        (["--t-max", "1e200"], FIG2_OVERFLOW),
+        (["--coef-c", "1e300"], FIG2_OVERFLOW),
     ],
 )
 @pytest.mark.filterwarnings("ignore:t=.* exceeds the policy bound:UserWarning")
 def test_fig2_bad_values_are_one_line_usage_errors(capsys, flags, message):
     # --t-max inf printed a numpy RuntimeWarning and then blamed t = nan;
-    # --coef-c nan was reported as coef_a.  Overflow printed RuntimeWarnings.
+    # --coef-c nan was reported as coef_a.  Overflow printed RuntimeWarnings,
+    # and later numpy's bare "overflow encountered in multiply".
     assert main(["fig2", *flags]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

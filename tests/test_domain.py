@@ -66,6 +66,11 @@ def test_in_domain_names_a_non_finite_argument(name, value):
     args = {"a": 0.5, "b": -0.25, "d": 0.75, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
         in_domain(**args)
+    # The guard is one test of a + b + d.  Terms that cancel there, as in
+    # (inf, -inf, 0.0), make it nan, and the first non-finite term is named.
+    if later := {"a": "b", "b": "d"}.get(name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            in_domain(**{"a": 0.0, "b": 0.0, "d": 0.0, name: value, later: -value})
 
 
 def test_in_domain_accepts_integers():
@@ -93,7 +98,9 @@ def test_verdict_is_the_margins_tuple_bit_for_bit():
     def bits(values):
         return [x.hex() if isinstance(x, float) else x for x in values]
 
-    for a, b, d in verdict_points(random.Random(27), 2000):
+    # Finite arguments whose sum a + b + d overflows pass the guard.
+    overflowing_sums = [(1e308, 1e308, 0.5), (-1.7e308, -1.7e308, 1e308), (1e308, 1, 1e308)]
+    for a, b, d in verdict_points(random.Random(27), 2000) + overflowing_sums:
         v = in_domain(a, b, d)
         assert [type(x) for x in v] == [float, float, float, bool, bool], (a, b, d)
         assert bits(tuple(v)) == bits(quasih.domain._margins(a, b, d, min)), (a, b, d)
@@ -258,9 +265,11 @@ def brentq_brackets(source: str, rng: random.Random) -> list:
     """The (f, a, b, fa, fb) that quasih hands to brentq on one seeded input.
 
     "pmn", "spike" and "quartic" record what _real_roots passes, with its
-    exact-integer f and the end values fa, fb it already holds; "near
-    double" is a plain float polynomial with roots 2^-40 ... 2^-1 apart,
-    bracketed around the lower one.
+    exact-integer f and the end values fa, fb it already holds; "ray"
+    records what boundary_trace_ray passes, its margin along the ray and
+    the march's last two margins; "near double" is a plain float
+    polynomial with roots 2^-40 ... 2^-1 apart, bracketed around the lower
+    one.
     """
     if source == "near double":
         r, e, lead = rng.uniform(-3, 3), 2.0 ** -rng.randint(1, 40), rng.choice([-8.0, 1.0])
@@ -282,6 +291,10 @@ def brentq_brackets(source: str, rng: random.Random) -> list:
             pmn_points(rng.uniform(0.01, 4.99))
         elif source == "spike":
             spike_band_edges(rng.uniform(-2.0, 2.0), rng.uniform(1e-4, 0.5))
+        elif source == "ray":
+            angle, d = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 0.9)
+            center = (rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+            boundary_trace_ray(center, (math.cos(angle), math.sin(angle)), d)
         else:
             r = rng.uniform(-3, 3)
             close = [r, r + 2.0 ** -rng.randint(1, 20)]
@@ -291,7 +304,7 @@ def brentq_brackets(source: str, rng: random.Random) -> list:
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    source=st.sampled_from(["pmn", "spike", "quartic", "near double"]),
+    source=st.sampled_from(["pmn", "spike", "ray", "quartic", "near double"]),
     seed=st.integers(0, 2**32 - 1),
     exponent=st.integers(-300, 150),
 )
@@ -309,7 +322,7 @@ def test_brentq_takes_scipys_steps_bit_for_bit(source, seed, exponent):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    source=st.sampled_from(["pmn", "spike", "quartic", "near double"]),
+    source=st.sampled_from(["pmn", "spike", "ray", "quartic", "near double"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_brentq_is_handed_the_true_end_values(source, seed):
@@ -340,7 +353,8 @@ def evaluated_points(run) -> list:
         elif inner.get(frame.f_code) == "margin":
             points.append(("margin", frame.f_locals["t"]))
         elif inner.get(frame.f_code) == "f":
-            points.append((tuple(frame.f_locals["ints"]), frame.f_locals["x"]))
+            poly = (frame.f_locals["lead"], *frame.f_locals["rest"])
+            points.append((poly, frame.f_locals["x"]))
 
     sys.setprofile(profile)
     try:
