@@ -11,6 +11,8 @@ imported only where matrices and grids are built:
   invariants, including the hyperbola factorization of the constant term.
 - :mod:`quasih.spectrum` produces the four energies, by closed formulas or
   numerically, and classifies their reality.
+- :mod:`quasih.exact` holds the exact arithmetic on floats: dyadic
+  integers, polynomial products, real-root isolation and Brent's method.
 - :mod:`quasih.domain` decides membership in the quasi-Hermiticity domain,
   locates the points of maximal non-Hermiticity and traces the boundary.
 - :mod:`quasih.metric` constructs the family of candidate metrics and

@@ -477,7 +477,7 @@ def main(argv=None) -> int:
     except (RuntimeError, _linalg_error()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from quasih.exact import dyadic_integers
 from quasih.model import _require_finite, build_alpha
 from quasih.spectrum import REALITY_TOL, _finite_square
 
@@ -101,9 +102,8 @@ def metric_nullspace(h: np.ndarray) -> MetricFamily:
     rows = h.tolist()
     n = len(rows)
     signs = _sign_matrix(rows)
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    den = max(q for row in ratios for _, q in row)
-    cols = list(zip(*([p * (den // q) for p, q in row] for row in ratios)))  # H over den
+    ints, _ = dyadic_integers([x for row in rows for x in row])
+    cols = [ints[j::n] for j in range(n)]  # the columns of H over one power of two
     exact = [[signs[i] * int(i == j) for j in range(n)] for i in range(n)]  # P H^0
     family, pivots = [], []
     for k in range(n):

@@ -30,7 +30,8 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 
-from quasih.domain import _polymul, _real_roots, in_domain
+from quasih.domain import in_domain
+from quasih.exact import polymul, real_roots
 from quasih.model import _require_finite
 
 #: Supported truncation orders of the band series.
@@ -41,7 +42,7 @@ SERIES_ORDERS = (2, 4, 6)
 SERIES_WINDOW = (0.0, 0.25)
 SERIES_SAMPLES = 50
 
-#: Default policy bound on the spike expansion parameter t.
+#: Default policy bound on t max(1, |coef_c|) of the spike expansion.
 SPIKE_T_MAX = 0.2
 
 #: Magnitudes of the vertex coordinates (a, c) = (+-2, +-sqrt(3)).
@@ -68,8 +69,9 @@ class SpikeAnsatz:
 
     ``corner`` is the sign pair (sign of a, sign of c) selecting one of
     the four vertices; the default (-1, -1) is the lower-left one.  The
-    expansion parameter t must be non-negative, and values beyond the
-    policy bound only draw a warning (the series degrades gracefully).
+    expansion parameter t must be non-negative, and a t max(1, |coef_c|)
+    beyond the policy bound only draws a warning (the series degrades
+    gracefully).
     """
 
     t: float
@@ -83,10 +85,14 @@ class SpikeAnsatz:
             raise ValueError("spike parameter t must be non-negative")
         if self.corner[0] not in (-1, 1) or self.corner[1] not in (-1, 1):
             raise ValueError("corner must be a pair of signs (+-1, +-1)")
-        if self.t > SPIKE_T_MAX:
+        # The first-order edge terms scale with coef_c t, so the bound is on
+        # t max(1, |coef_c|).
+        scale = max(1.0, abs(self.coef_c))
+        if self.t * scale > SPIKE_T_MAX:
+            times = "" if scale == 1.0 else f" times |coef_c|={scale}"
             # Level 3 is the caller of the dataclass's generated __init__.
             warnings.warn(
-                f"t={self.t} exceeds the policy bound {SPIKE_T_MAX}; "
+                f"t={self.t}{times} exceeds the policy bound {SPIKE_T_MAX}; "
                 "second-order accuracy degrades",
                 stacklevel=3,
             )
@@ -208,7 +214,7 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
 
     and A^2 - B = t^2 (p^2 - 9gh).  The edges are the nearest real roots
     of g, h, p and p^2 - 9gh below and above coef_c (which is inside),
-    found by :func:`quasih.domain._real_roots`; without the powers of t
+    found by :func:`quasih.exact.real_roots`; without the powers of t
     they stay well conditioned as t -> 0.  At coef_c t = -1 the interval
     is the single point coef_c, where g, p and p^2 - 9gh vanish.  The
     lower edge, the root of g, is coef_c - 1/2 - coef_c t - coef_c^2 t^2 / 2;
@@ -224,9 +230,9 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
     p = [-2.0 * t**3, 4.0 * t * (1.0 - t), 4.0 - 2.0 * t + 6.0 * s - 3.0 * t * s * s]
     g = [2.0, s * s - 2.0 * coef_c]
     h = [-2.0 * t * t, 4.0 - 2.0 * t - 2.0 * t * s + t * t * s * s]
-    gh = _polymul(g, h)
-    quartic = [x - 9.0 * y for x, y in zip(_polymul(p, p), [0.0, 0.0, *gh])]
-    roots = [x for f in (g, h, p, quartic) for x in _real_roots(f, -math.inf, math.inf)]
+    gh = polymul(g, h)
+    quartic = [x - 9.0 * y for x, y in zip(polymul(p, p), [0.0, 0.0, *gh])]
+    roots = [x for f in (g, h, p, quartic) for x in real_roots(f, -math.inf, math.inf)]
     below = [x for x in roots if x < coef_c]
     above = [x for x in roots if x > coef_c]
     if coef_c in roots:

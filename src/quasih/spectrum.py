@@ -60,10 +60,6 @@ class Spectrum:
     max_imag: float
 
 
-def _sorted_energies(roots) -> tuple[complex, ...]:
-    return tuple(sorted((complex(z) for z in roots), key=lambda z: (z.real, z.imag)))
-
-
 def classify_reality(energies) -> Reality:
     """Classify a multiset of energies.
 
@@ -83,12 +79,16 @@ def classify_reality(energies) -> Reality:
 
 def spectrum_from_roots(roots) -> Spectrum:
     """Package raw roots into a sorted, classified :class:`Spectrum`."""
-    energies = _sorted_energies(roots)
-    return Spectrum(
-        energies=energies,
-        classification=classify_reality(energies),
-        max_imag=max(abs(z.imag) for z in energies),
-    )
+    energies = tuple(sorted(map(complex, roots), key=lambda z: (z.real, z.imag)))
+    return Spectrum(energies, classify_reality(energies), max(abs(z.imag) for z in energies))
+
+
+def _biquadratic(base: float, scale: float, root: complex) -> Spectrum:
+    """The spectrum +-sqrt(base +- scale root) with principal square roots,
+    the sum formed as base + scale * sign * root: another order of the
+    products can change the sign of a zero."""
+    roots = [cmath.sqrt(base + scale * sign * root) for sign in (1.0, -1.0)]
+    return spectrum_from_roots([e for r in roots for e in (r, -r)])
 
 
 def closed_form_energies(a: float, b: float, d: float) -> Spectrum:
@@ -98,12 +98,7 @@ def closed_form_energies(a: float, b: float, d: float) -> Spectrum:
     complex results are valid outputs, classified accordingly.
     """
     A, B = reduced_AB(a, b, d)
-    inner = cmath.sqrt(complex(A * A - B))
-    roots = []
-    for sign_inner in (1.0, -1.0):
-        e = cmath.sqrt(A + sign_inner * inner)
-        roots.extend([e, -e])
-    return spectrum_from_roots(roots)
+    return _biquadratic(A, 1.0, cmath.sqrt(complex(A * A - B)))
 
 
 def band_closed_energies(alpha: float) -> Spectrum:
@@ -115,11 +110,7 @@ def band_closed_energies(alpha: float) -> Spectrum:
     """
     _require_finite(alpha=alpha)
     disc = cmath.sqrt(complex(5.0 * alpha**4 - 12.0 * alpha**2 + 4.0))
-    roots = []
-    for sign_inner in (1.0, -1.0):
-        e = cmath.sqrt(-6.0 * alpha**2 + 5.0 + 2.0 * sign_inner * disc)
-        roots.extend([e, -e])
-    return spectrum_from_roots(roots)
+    return _biquadratic(-6.0 * alpha**2 + 5.0, 2.0, disc)
 
 
 def quartic_energies(e2: float, e1: float, e0: float) -> Spectrum:

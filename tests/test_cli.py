@@ -745,6 +745,15 @@ def test_fig2_warns_once_past_the_policy_bound(capsys):
     assert len(record) == 1
 
 
+def test_perturb_spike_warns_where_coef_c_t_passes_the_policy_bound(capsys):
+    # It printed "inside_leading": true beside "inside_exact": false, silently.
+    with pytest.warns(UserWarning, match=r"^t=0.01 times \|coef_c\|=1e\+300 exceeds") as record:
+        assert main(["perturb", "--spike", "1e300", "1e300", "0.01"]) == 0
+    assert len(record) == 1
+    spike = json.loads(capsys.readouterr().out)["spike"]
+    assert (spike["inside_leading"], spike["inside_exact"]) == (True, False)
+
+
 def test_fig2_warning_is_one_stderr_line(capsys):
     # The process printed Python's warning format: the path of cli.py, a
     # line number and the source line that built the SpikeAnsatz.

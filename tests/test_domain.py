@@ -32,15 +32,10 @@ from quasih import (
 )
 import quasih.cli
 import quasih.domain
+import quasih.exact
 from quasih.cli import main
-from quasih.domain import (
-    BoundaryTraceError,
-    DomainVerdict,
-    GridScan,
-    _margin_bound,
-    _real_roots,
-    brentq,
-)
+from quasih.domain import BoundaryTraceError, DomainVerdict, GridScan, _margin_bound
+from quasih.exact import brentq, real_roots
 from quasih.model import ParamPoint, build_full
 from quasih.spectrum import REALITY_TOL, numeric_energies
 
@@ -178,8 +173,15 @@ def test_pmn_quartic_is_numpys_product_bit_for_bit(monkeypatch):
     rng = random.Random(16)
     d2s = [rng.uniform(0.001, 4.999) for _ in range(500)] + [0.13616, 1.6, 3.0]
     points = [pmn_points(d2) for d2 in d2s]
-    monkeypatch.setattr(quasih.domain, "_polymul", lambda p, q: np.polymul(p, q).tolist())
+    calls = []
+
+    def numpy_product(p, q):
+        calls.append((p, q))
+        return np.polymul(p, q).tolist()
+
+    monkeypatch.setattr(quasih.domain, "polymul", numpy_product)
     assert [pmn_points(d2) for d2 in d2s] == points
+    assert len(calls) == len(d2s)
 
 
 def test_pmn_points_include_axis_points_at_d2_3():
@@ -246,7 +248,7 @@ def test_real_roots_of_quartics_built_from_known_roots(kind, eighths, lead):
     else:
         simple, factors = [y, z], [[1, -2 * x, x * x]]
     coeffs = exact_product([lead], *([1, -r] for r in simple), *factors)
-    roots = _real_roots(coeffs, -math.inf, math.inf)
+    roots = real_roots(coeffs, -math.inf, math.inf)
     if kind == "double root":
         at_double = [r for r in roots if abs(r - x) < 1e-6]
         assert len(at_double) <= 1
@@ -258,13 +260,13 @@ def test_real_roots_of_quartics_built_from_known_roots(kind, eighths, lead):
 
 def test_real_roots_refuse_roots_beyond_the_float_range():
     with pytest.raises(FloatingPointError):
-        _real_roots([1e-300, 1e300, 1.0], -math.inf, math.inf)
+        real_roots([1e-300, 1e300, 1.0], -math.inf, math.inf)
 
 
 def brentq_brackets(source: str, rng: random.Random) -> list:
     """The (f, a, b, fa, fb) that quasih hands to brentq on one seeded input.
 
-    "pmn", "spike" and "quartic" record what _real_roots passes, with its
+    "pmn", "spike" and "quartic" record what real_roots passes, with its
     exact-integer f and the end values fa, fb it already holds; "ray"
     records what boundary_trace_ray passes, its margin along the ray and
     the march's last two margins; "near double" is a plain float
@@ -286,7 +288,8 @@ def brentq_brackets(source: str, rng: random.Random) -> list:
         return brentq(f, a, b, fa, fb)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quasih.domain, "brentq", record)
+        # Each caller looks brentq up in its own module.
+        patch.setattr(quasih.domain if source == "ray" else quasih.exact, "brentq", record)
         if source == "pmn":
             pmn_points(rng.uniform(0.01, 4.99))
         elif source == "spike":
@@ -298,7 +301,8 @@ def brentq_brackets(source: str, rng: random.Random) -> list:
         else:
             r = rng.uniform(-3, 3)
             close = [r, r + 2.0 ** -rng.randint(1, 20)]
-            _real_roots(np.poly(close + [rng.uniform(-3, 3) for _ in range(2)]), -math.inf, math.inf)
+            real_roots(np.poly(close + [rng.uniform(-3, 3) for _ in range(2)]), -math.inf, math.inf)
+    assert calls, source
     return calls
 
 
@@ -334,11 +338,11 @@ def test_brentq_is_handed_the_true_end_values(source, seed):
 
 def evaluated_points(run) -> list:
     """Each point at which boundary_trace_ray's margin, or the exact
-    evaluator of a _real_roots call, is evaluated while run() runs, tagged
+    evaluator of a real_roots call, is evaluated while run() runs, tagged
     with the ray or the polynomial.  A ray's center counts as t = 0."""
     inner = {
         code: name
-        for fn, name in ((boundary_trace_ray, "margin"), (_real_roots, "f"))
+        for fn, name in ((boundary_trace_ray, "margin"), (real_roots, "f"))
         for code in fn.__code__.co_consts
         if getattr(code, "co_name", None) == name
     }

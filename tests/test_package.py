@@ -59,3 +59,14 @@ def test_import_quasih_loads_no_numpy_until_a_module_needs_it():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout == f"{quasih.__version__} False True\n"
+
+
+def test_exact_domain_and_perturb_load_no_numpy():
+    src = str(Path(quasih.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, quasih.exact, quasih.domain, quasih.perturb; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\n"

@@ -123,6 +123,21 @@ def test_spike_ansatz_validation():
     assert [w.filename for w in record] == [__file__]
 
 
+def test_spike_policy_bound_is_on_t_times_coef_c():
+    # The first-order edge terms scale with coef_c t: at (1e300, 1e300, 0.01)
+    # the leading-order verdict read inside beside an exact outside, and
+    # no warning said that the expansion no longer holds.
+    with pytest.warns(UserWarning, match=r"^t=0.01 times \|coef_c\|=1e\+300 exceeds the policy"):
+        a, c = spike_point(SpikeAnsatz(t=0.01, coef_a=1e300, coef_c=1e300))
+    assert spike_membership(1e300, 1e300, 0.01) and not in_domain(a, 0.0, c).inside
+    with pytest.warns(UserWarning, match=r"^t=0.05 times \|coef_c\|=5.0 exceeds the policy"):
+        SpikeAnsatz(t=0.05, coef_a=0.0, coef_c=-5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SpikeAnsatz(t=0.2, coef_a=0.0, coef_c=-1.0)
+        SpikeAnsatz(t=0.1, coef_a=0.0, coef_c=2.0)
+
+
 def test_spike_membership_leading_order():
     assert spike_membership(0.0, 0.0, 0.01)
     assert spike_membership(0.3, 0.3, 0.0)  # vertex inside by convention
@@ -239,5 +254,12 @@ def test_spike_edges_do_not_depend_on_the_blas_product(monkeypatch):
     pairs = [(rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-3.0, -0.5)) for _ in range(1200)]
     pairs += [(-0.5, 2.0), (-1.0, 1.0), (-0.25, 4.0)]
     edges = [spike_band_edges(coef_c, t) for coef_c, t in pairs]
-    monkeypatch.setattr(quasih.perturb, "_polymul", lambda p, q: np.polymul(p, q).tolist())
+    calls = []
+
+    def numpy_product(p, q):
+        calls.append((p, q))
+        return np.polymul(p, q).tolist()
+
+    monkeypatch.setattr(quasih.perturb, "polymul", numpy_product)
     assert [spike_band_edges(coef_c, t) for coef_c, t in pairs] == edges
+    assert len(calls) == 2 * len(pairs)
