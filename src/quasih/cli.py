@@ -25,8 +25,7 @@ Exit status: :func:`main` returns 0 on success, 1 on numerical failure
 and 2 on a usage error, with a one-line ``error:`` message on stderr for
 1 and 2; only ``-h`` and ``--version`` raise ``SystemExit``.  A warning,
 such as ``fig2 --t-max`` past the spike policy bound, is one ``warning:``
-line on stderr.  The ``QUASIH_THREADS`` environment variable is accepted
-and ignored: the grid scan is one numpy evaluation.
+line on stderr.
 
 Each subcommand imports the library modules it uses when it runs, so
 ``dim``, ``pmn``, ``boundary``, ``fig1`` and ``perturb`` (``--critical``,

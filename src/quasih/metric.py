@@ -194,12 +194,6 @@ def _jacobi_eigenvalues(a: list[list[float]]) -> list[float]:
     return [a[k][k] for k in range(n)]
 
 
-def _candidate(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k c_k E_k over the stacked basis, exactly symmetric as each E_k is;
-    the reduction adds in basis order from 0.0, as Python's sum does."""
-    return np.add.reduce(coeffs[:, None, None] * stack, axis=0, initial=0.0)
-
-
 def _dual_bound(m: np.ndarray, j: np.ndarray) -> float:
     """Upper bound on 1/cond of the best metric, from M = Q^^T Q^ over the
     Krein-normalized left eigenvectors and their Krein signs j, J = diag(j).
@@ -261,7 +255,7 @@ def find_positive(fam: MetricFamily) -> PositivityCertificate:
         coeffs = np.eye(fam.dim)[0]  # P = basis[0]
 
     # Theta at unit largest eigenvalue; positivity below noise, 1e-12, is not certified.
-    w = _jacobi_eigenvalues(_candidate(np.stack(fam.basis), coeffs).tolist())
+    w = _jacobi_eigenvalues(sum(c * e for c, e in zip(coeffs, fam.basis)).tolist())
     lo, hi = min(w), max(w)
     if hi < -lo:  # Theta's sign is free
         coeffs, lo, hi = -coeffs, -hi, -lo
@@ -283,9 +277,10 @@ def boundary_degeneracy_profile(alphas) -> list[tuple[float, float]]:
     For each alpha in (0, sqrt(2/5)] the smallest eigenvalue of the best
     positive Theta (unit largest eigenvalue) from :func:`find_positive`
     is reported; the profile collapses toward zero as the exceptional
-    point is approached.  At alpha = sqrt(2/5) exactly, H is defective
-    and the profile value is NaN (flagged, not computed).  Every alpha is
-    checked before the first certificate is computed.
+    point is approached.  At alpha = sqrt(2/5) H is defective, and for
+    every alpha within 1e-14 of it the profile value is NaN (flagged, not
+    computed).  Every alpha is checked before the first certificate is
+    computed.
     """
     alphas = list(alphas)
     if not all(0.0 < alpha <= ALPHA_CRITICAL for alpha in alphas):

@@ -159,16 +159,12 @@ def series_scaling_check(which: int, order: int) -> SeriesCheck:
 def critical_strength() -> tuple[float, float]:
     """Critical band coupling and collision energy (sqrt(2/5), sqrt(13/5)).
 
-    Self-checks that the discriminant 5a^4 - 12a^2 + 4 vanishes there.  The
-    spectrum at that coupling, two doubly degenerate levels at
-    +-sqrt(13/5), is a fixed matrix's and is checked by the test suite, not
-    on each call, so this loads no numpy.
+    At alpha^2 = 2/5 the band discriminant 5 alpha^4 - 12 alpha^2 + 4
+    vanishes, and the spectrum is two doubly degenerate levels at
+    +-sqrt(13/5).  Both facts are checked by the test suite, not on each
+    call, so this loads no numpy.
     """
-    alpha_cs = math.sqrt(0.4)
-    disc = 5.0 * alpha_cs**4 - 12.0 * alpha_cs**2 + 4.0
-    if abs(disc) > 1e-12:
-        raise RuntimeError(f"discriminant check failed: {disc}")
-    return alpha_cs, math.sqrt(2.6)
+    return math.sqrt(0.4), math.sqrt(2.6)
 
 
 def _spike_coords(t, coef_a, coef_c, corner):

@@ -22,7 +22,6 @@ d^2 = (b+3)(a-1) and d^2 = (b-3)(a+1) in the a-b plane.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from quasih.model import ParamPoint, _require_finite
@@ -30,13 +29,11 @@ from quasih.model import ParamPoint, _require_finite
 
 @dataclass(frozen=True)
 class SecularInvariants:
-    """Coefficients of the quartic and derived reduced quantities.
+    """Coefficients e4 ... e0 of the secular quartic (e4 = 1, e3 = 0).
 
-    ``A`` and ``B`` are the biquadratic invariants computed from
-    (a, b, d); they characterize the spectrum only when c^2 = d^2 (the
-    ``reduced_valid`` flag records whether that holds for the source
-    point, to |c^2 - d^2| <= 1e-12 * max(1, c^2, d^2)).  ``alpha_hyp``
-    and ``beta_hyp`` are the hyperbola factors (b+3)(a-1) and (b-3)(a+1).
+    The biquadratic invariants of the c^2 = d^2 model come from
+    :func:`reduced_AB`, and the hyperbola factors from
+    :func:`hyperbola_factors`.
     """
 
     e4: float
@@ -44,11 +41,6 @@ class SecularInvariants:
     e2: float
     e1: float
     e0: float
-    A: float
-    B: float
-    alpha_hyp: float
-    beta_hyp: float
-    reduced_valid: bool
 
 
 def constant_term(a: float, b: float, c: float, d: float) -> float:
@@ -66,24 +58,14 @@ def constant_term(a: float, b: float, c: float, d: float) -> float:
 
 
 def secular_coeffs(p: ParamPoint) -> SecularInvariants:
-    """Quartic coefficients and invariants for a parameter point."""
+    """Quartic coefficients for a parameter point."""
     a, b, c, d = p.as_tuple()
-    e2 = -(10.0 - a * a - b * b - c * c - d * d)
-    e1 = -4.0 * (c * c - d * d)
-    e0 = constant_term(a, b, c, d)
-    A, B = reduced_AB(a, b, d)
-    ah, bh = hyperbola_factors(a, b)
     return SecularInvariants(
         e4=1.0,
         e3=0.0,
-        e2=e2,
-        e1=e1,
-        e0=e0,
-        A=A,
-        B=B,
-        alpha_hyp=ah,
-        beta_hyp=bh,
-        reduced_valid=abs(c * c - d * d) <= 1e-12 * max(1.0, c * c, d * d),
+        e2=-(10.0 - a * a - b * b - c * c - d * d),
+        e1=-4.0 * (c * c - d * d),
+        e0=constant_term(a, b, c, d),
     )
 
 

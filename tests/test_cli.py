@@ -461,7 +461,8 @@ def test_each_field_flag_has_one_usage_message(capsys, argv, message):
 
 
 def test_metric_rejects_a_coupling_that_overflows_the_matrix(capsys):
-    # 2 * 1e308 is inf: two warnings, "SVD did not converge" and exit 1.
+    # 2 * 1e308 is inf, so the matrix has an infinite entry: a usage error
+    # (exit 2) with one line on stderr, before any SVD runs.
     assert main(["metric", "--alpha", "1e308", "--positivity"]) == 2
     assert capsys.readouterr() == ("", "error: matrix entries must be finite\n")
 

@@ -263,6 +263,17 @@ def test_real_roots_refuse_roots_beyond_the_float_range():
         real_roots([1e-300, 1e300, 1.0], -math.inf, math.inf)
 
 
+def test_real_roots_strip_leading_zeros_and_find_none_for_a_constant():
+    assert real_roots([0.0, 1.0, 0.0, -1.0], -2.0, 2.0) == [-1.0, 1.0]
+    assert real_roots([3.0], -1.0, 1.0) == []
+    assert real_roots([0.0, 0.0, 3.0], -math.inf, math.inf) == []
+
+
+def test_real_roots_report_a_root_at_the_upper_end():
+    # x^2 - 1 on [-0.5, 1]: the last piece, [0, 1], ends on an exact zero.
+    assert real_roots([1.0, 0.0, -1.0], -0.5, 1.0) == [1.0]
+
+
 def brentq_brackets(source: str, rng: random.Random) -> list:
     """The (f, a, b, fa, fb) that quasih hands to brentq on one seeded input.
 
@@ -403,6 +414,17 @@ def test_brentq_raises_past_its_step_limit_and_without_a_sign_change():
             solver(cbrt, -1e308, 1.7e308)
         with pytest.raises(ValueError, match="different signs"):
             solver(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def test_brentq_returns_an_end_whose_value_is_zero_without_calling_f():
+    def f(x):
+        raise AssertionError(f"f called at {x}")
+
+    assert brentq(f, -1.0, 2.0, -3.0, 0.0) == 2.0
+    assert brentq(f, -1.0, 2.0, 3.0, 0.0) == 2.0
+    assert brentq(f, -1.0, 2.0, 3.0, -0.0) == 2.0
+    assert brentq(f, -1.0, 2.0, -3.0, -0.0) == 2.0
+    assert brentq(f, -1.0, 2.0, 0.0, 5.0) == -1.0
 
 
 #: Where the circle a^2 + b^2 = 10 - 2 d^2 touches the hyperbolas:

@@ -74,9 +74,15 @@ def test_series_rejects_unsupported_order():
         band_series_E3(0.1, 5)
 
 
+def test_series_scaling_check_rejects_a_level_other_than_1_or_3():
+    with pytest.raises(ValueError, match="which must be 1 or 3"):
+        series_scaling_check(2, 6)
+
+
 def test_critical_strength_values():
     alpha_cs, e_cs = critical_strength()
     assert abs(alpha_cs**2 - 0.4) <= 1e-12
+    assert abs(5.0 * alpha_cs**4 - 12.0 * alpha_cs**2 + 4.0) <= 1e-12
     assert abs(e_cs - 1.612451550) <= 5e-10
 
 
@@ -188,6 +194,15 @@ def test_spike_edges_need_positive_t():
         spike_band_edges(0.3, math.inf)
     with pytest.raises(ValueError, match="coef_c must be finite"):
         spike_band_edges(math.nan, 0.1)
+
+
+def test_spike_edges_refuse_a_t_where_coef_a_equals_coef_c_is_outside():
+    # At t = 10 the spike point of coef_a = coef_c = 0 is (a, b, d) =
+    # (18, 0, 9 sqrt(3)), where A = -400 < 0: no interval around coef_c.
+    # Only the refusal is pinned, not its class: RuntimeError (today's) is
+    # the numerical-failure class, and an input error would be a ValueError.
+    with pytest.raises((RuntimeError, ValueError), match="outside the domain"):
+        spike_band_edges(0.0, 10.0)
 
 
 def test_spike_edges_do_not_warn_past_the_policy_bound():

@@ -105,9 +105,3 @@ def test_vieta_against_eigenvalues(a, b, c, d):
 @given(a=finite10, b=finite10, c=finite10, d=finite10)
 def test_full_sign_flip_invariance_exact(a, b, c, d):
     assert constant_term(a, b, c, d) == constant_term(-a, -b, -c, -d)
-
-
-def test_reduced_valid_flag():
-    assert secular_coeffs(ParamPoint(1, 2, 0.7, 0.7)).reduced_valid
-    assert secular_coeffs(ParamPoint(1, 2, 0.7, -0.7)).reduced_valid
-    assert not secular_coeffs(ParamPoint(1, 2, 0.7, 0.8)).reduced_valid
