@@ -45,7 +45,7 @@ _MODULES = {
         "find_positive boundary_degeneracy_profile"
     ),
     "perturb": (
-        "SpikeAnsatz SeriesCheck band_series_E1 band_series_E3 series_scaling_check "
+        "SpikeAnsatz band_series_E1 band_series_E3 series_scaling_check "
         "critical_strength spike_point spike_membership spike_band_edges"
     ),
 }

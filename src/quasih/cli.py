@@ -21,9 +21,12 @@ a prefix such as ``--d`` for ``--d2`` is an error.
 Negative numbers in any form (``-8.4e-05``, ``-inf``) and ``--range
 -4:4:-4:4`` are values, never option strings.
 
-Exit status: :func:`main` returns 0 on success, 1 on numerical failure
-and 2 on a usage error, with a one-line ``error:`` message on stderr for
-1 and 2; only ``-h`` and ``--version`` raise ``SystemExit``.  A warning,
+Exit status: :func:`main` returns 0 on success, 2 on bad input (a
+ValueError or OSError, such as a ray center outside the domain) and 1 on
+a numerical failure (a RuntimeError or numpy's LinAlgError: a result past
+the float range, or LAPACK failing to converge), with a one-line
+``error:`` message on stderr for 1 and 2; only ``-h`` and ``--version``
+raise ``SystemExit``.  A warning,
 such as ``fig2 --t-max`` past the spike policy bound, is one ``warning:``
 line on stderr.
 
@@ -321,15 +324,8 @@ def _cmd_fig1(args) -> str:
     from quasih.domain import figure1_geometry
 
     geo = figure1_geometry(args.d2)
-    doc = {
-        "d2": args.d2,
-        "circle_radius": geo["circle_radius"],
-        "hyperbolas": geo["hyperbolas"],
-        "intersections": [
-            {"a": p.a, "b": p.b, "residuals": p.residuals} for p in geo["intersections"]
-        ],
-    }
-    return json_dumps(doc)
+    points = [{"a": p.a, "b": p.b, "residuals": p.residuals} for p in geo["intersections"]]
+    return json_dumps({"d2": args.d2, **geo, "intersections": points})
 
 
 def _cmd_fig2(args) -> str:

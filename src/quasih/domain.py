@@ -25,10 +25,6 @@ from quasih.model import _require_finite
 from quasih.secular import _reduced_AB, constant_term
 
 
-class BoundaryTraceError(RuntimeError):
-    """Raised when a boundary ray search finds no sign change."""
-
-
 class DomainVerdict(NamedTuple):
     """Verdict of :func:`in_domain`: the slacks and flags as a named tuple, in
     the order of :func:`_margins` and of :class:`GridScan`'s arrays."""
@@ -171,9 +167,11 @@ def boundary_trace_ray(
     Marches outward in steps of 0.25 until the membership margin changes
     sign and refines that bracket with :func:`quasih.exact.brentq`; a
     center inside by the rounding bound but with a negative margin is its
-    own crossing if the first step is outside too.  Raises
-    :class:`BoundaryTraceError` if the center is outside or no sign change
-    occurs within length 100.
+    own crossing if the first step is outside too.  The margin is negative
+    outside the disk A >= 0, a^2 + b^2 <= 10 - 2 d^2 of radius at most
+    sqrt(10), so the march ends within about 27 steps.  A direction whose
+    norm overflows is quartered first, exactly.  Raises ValueError if the
+    center is outside.
     """
     a0, b0 = center
     dx, dy = direction
@@ -181,11 +179,14 @@ def boundary_trace_ray(
     norm = math.hypot(dx, dy)
     if norm == 0.0:
         raise ValueError("direction must be non-zero")
+    if norm == math.inf:
+        dx, dy = 0.25 * dx, 0.25 * dy
+        norm = math.hypot(dx, dy)
     dx, dy = dx / norm, dy / norm
 
     verdict = in_domain(a0, b0, d)
     if not verdict.inside:
-        raise BoundaryTraceError("ray center lies outside the domain")
+        raise ValueError("ray center lies outside the domain")
     m0 = verdict.margin
 
     def margin(t: float) -> float:
@@ -196,8 +197,6 @@ def boundary_trace_ray(
     t_lo, t_hi, m_lo = 0.0, 0.25, m0
     while not (m_hi := margin(t_hi)) < 0.0:
         t_lo, t_hi, m_lo = t_hi, t_hi + 0.25, m_hi
-        if t_hi > 100.0:
-            raise BoundaryTraceError("no boundary crossing within ray length")
 
     t_star = 0.0 if t_lo == 0.0 and m0 < 0.0 else brentq(margin, t_lo, t_hi, m_lo, m_hi)
     return (a0 + t_star * dx, b0 + t_star * dy)

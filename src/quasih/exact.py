@@ -108,7 +108,8 @@ def real_roots(coeffs, lo: float, hi: float) -> list[float]:
     once.  Values are exact in integers, rounded once, so every sign is
     right and each simple root is found once, however close to another;
     a root of even multiplicity is found only as an exact zero.  Infinite
-    ends are clamped to Fujiwara's bound on the root moduli.
+    ends are clamped to Fujiwara's bound on the root moduli.  Raises
+    RuntimeError if the coefficients or that bound overflow the float range.
     """
     c = [float(x) for x in coeffs]
     while c and c[0] == 0.0:
@@ -117,7 +118,7 @@ def real_roots(coeffs, lo: float, hi: float) -> list[float]:
         return []
     bound = 2.0 * max(abs(ck / c[0]) ** (1.0 / k) for k, ck in enumerate(c[1:], 1))
     if not (math.isfinite(bound) and all(map(math.isfinite, c))):
-        raise FloatingPointError("polynomial coefficients or roots overflow")
+        raise RuntimeError("polynomial coefficients or roots overflow")
     lo, hi = max(lo, -bound), min(hi, bound)
     if len(c) == 2:
         return [x] if lo <= (x := -c[1] / c[0]) <= hi else []

@@ -54,16 +54,6 @@ _E1_COEFFS = {2: 0.0, 4: 1.0, 6: 1.5}
 
 
 @dataclass(frozen=True)
-class SeriesCheck:
-    """Truncation-error summary of a series over a coupling window."""
-
-    order: int
-    coefficients: tuple[float, ...]
-    max_abs_error_over_window: float
-    window: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class SpikeAnsatz:
     """Second-order boundary ansatz near one vertex of the spike.
 
@@ -134,26 +124,21 @@ def _band_exact(alpha: float, which: int) -> float:
     return mags[0] if which == 1 else mags[-1]
 
 
-def series_scaling_check(which: int, order: int) -> SeriesCheck:
-    """Measure the truncation error of a band series over SERIES_WINDOW.
+def series_scaling_check(which: int, order: int) -> float:
+    """Largest truncation error of the order-``order`` series for |E_which|
+    over SERIES_SAMPLES couplings of SERIES_WINDOW.
 
     The next omitted term is O(alpha^(order+2)), so halving alpha should
-    shrink the error by about 2^(order+2).
+    shrink the error by about 2^(order+2).  Raises ValueError unless
+    ``which`` is 1 or 3 and ``order`` is in SERIES_ORDERS.
     """
     import numpy as np
 
     if which not in (1, 3):
         raise ValueError("which must be 1 or 3")
     series = band_series_E1 if which == 1 else band_series_E3
-    coeffs = _E1_COEFFS if which == 1 else _E3_COEFFS
     alphas = np.linspace(*SERIES_WINDOW, SERIES_SAMPLES + 1)[1:]
-    err = max(abs(series(al, order) - _band_exact(al, which)) for al in alphas)
-    return SeriesCheck(
-        order=order,
-        coefficients=tuple(coeffs[k] for k in SERIES_ORDERS if k <= order),
-        max_abs_error_over_window=err,
-        window=SERIES_WINDOW,
-    )
+    return max(abs(series(al, order) - _band_exact(al, which)) for al in alphas)
 
 
 def critical_strength() -> tuple[float, float]:
@@ -209,19 +194,21 @@ def spike_band_edges(coef_c: float, t: float) -> tuple[float, float]:
         g = 2x + s^2 - 2 coef_c,   h = 4 - 2t - 2ts + t^2 s^2 - 2t^2 x,
 
     and A^2 - B = t^2 (p^2 - 9gh).  The edges are the nearest real roots
-    of g, h, p and p^2 - 9gh below and above coef_c (which is inside),
+    of g, h, p and p^2 - 9gh below and above coef_c, which must be inside,
     found by :func:`quasih.exact.real_roots`; without the powers of t
     they stay well conditioned as t -> 0.  At coef_c t = -1 the interval
     is the single point coef_c, where g, p and p^2 - 9gh vanish.  The
     lower edge, the root of g, is coef_c - 1/2 - coef_c t - coef_c^2 t^2 / 2;
     the upper one is coef_c + 8/9 + (16 coef_c / 9 + 80/81) t + O(t^2).
+    Raises ValueError if coef_a = coef_c is outside the domain, as at any
+    large enough t (A = -400 at coef_c = 0, t = 10), so no interval exists.
     """
     if t <= 0.0:
         raise ValueError("edge measurement needs t > 0")
     _require_finite(t=t, coef_c=coef_c)
     a, c = _spike_coords(t, coef_c, coef_c, (-1, -1))
     if not in_domain(a, 0.0, c).inside:
-        raise RuntimeError("coef_a = coef_c is unexpectedly outside the domain")
+        raise ValueError("coef_a = coef_c lies outside the domain at this t")
     s = 1.0 + coef_c * t
     p = [-2.0 * t**3, 4.0 * t * (1.0 - t), 4.0 - 2.0 * t + 6.0 * s - 3.0 * t * s * s]
     g = [2.0, s * s - 2.0 * coef_c]

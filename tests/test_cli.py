@@ -546,11 +546,21 @@ def test_boundary_success_and_failure(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["a"] - 13.0 / 12.0) <= math.ulp(13.0 / 12.0)
-    # center outside the domain: numerical failure, exit 1
+    # center outside the domain: bad input, exit 2
     code, _ = run(
         capsys, "boundary", "--center", "0", "0", "--direction", "1", "0", "--d", "3"
     )
-    assert code == 1
+    assert code == 2
+
+
+def test_boundary_direction_whose_norm_overflows_prints_the_unit_ray(capsys):
+    # hypot(1.7e308, 1.7e308) overflowed, the direction became (0, 0) and the
+    # march never moved: exit 1, no boundary crossing.
+    center = ["boundary", "--center", "0", "0", "--d", "0.5", "--direction"]
+    code, out = run(capsys, *center, "1.7e308", "1.7e308")
+    assert code == 0
+    assert out == run(capsys, *center, "1", "1")[1]
+    assert '"a": 1.0615528128088303,' in out
 
 
 @pytest.mark.parametrize(

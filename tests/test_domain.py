@@ -34,7 +34,7 @@ import quasih.cli
 import quasih.domain
 import quasih.exact
 from quasih.cli import main
-from quasih.domain import BoundaryTraceError, DomainVerdict, GridScan, _margin_bound
+from quasih.domain import DomainVerdict, GridScan, _margin_bound
 from quasih.exact import brentq, real_roots
 from quasih.model import ParamPoint, build_full
 from quasih.spectrum import REALITY_TOL, numeric_energies
@@ -259,7 +259,7 @@ def test_real_roots_of_quartics_built_from_known_roots(kind, eighths, lead):
 
 
 def test_real_roots_refuse_roots_beyond_the_float_range():
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(RuntimeError, match="polynomial coefficients or roots overflow"):
         real_roots([1e-300, 1e300, 1.0], -math.inf, math.inf)
 
 
@@ -567,7 +567,7 @@ def test_point_outside_by_more_than_rounding_is_outside():
     v = in_domain(*center, 0.5)
     assert not v.inside and not v.on_boundary
     assert closed_form_energies(*center, 0.5).classification is Reality.COMPLEX_PAIRS
-    with pytest.raises(BoundaryTraceError):
+    with pytest.raises(ValueError, match="ray center lies outside the domain"):
         boundary_trace_ray(center, (1.0, 0.0), 0.5)
 
 
@@ -797,12 +797,55 @@ def test_boundary_ray_is_the_50_digit_first_exit(monkeypatch):
 
 
 def test_boundary_ray_outside_center_rejected():
-    with pytest.raises(BoundaryTraceError):
+    with pytest.raises(ValueError, match="ray center lies outside the domain"):
         boundary_trace_ray((0.0, 0.0), (1.0, 0.0), 3.0)
     # at d = sqrt(3) the slice b = 0 of the domain is just the two
     # vertices a = +-2; the origin itself lies outside
-    with pytest.raises(BoundaryTraceError):
+    with pytest.raises(ValueError, match="ray center lies outside the domain"):
         boundary_trace_ray((0.0, 0.0), (1.0, 0.0), math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("direction", [(1.7e308, 1.7e308), (-1.7976931348623157e308, 1e308)])
+@pytest.mark.parametrize("center, d", [((0.0, 0.0), 0.5), ((0.3, -0.2), 0.9)])
+def test_boundary_ray_direction_whose_norm_overflows(direction, center, d):
+    # hypot overflowed to inf, the unit direction came out as (0, 0) and the
+    # march never moved.  Quartering is exact, so the ray is that of the
+    # quartered direction bit for bit.
+    quartered = (0.25 * direction[0], 0.25 * direction[1])
+    assert math.isfinite(math.hypot(*quartered))
+    assert boundary_trace_ray(center, direction, d) == boundary_trace_ray(center, quartered, d)
+
+
+def test_boundary_ray_ends_in_the_disk_within_100_margins(monkeypatch):
+    # The margin is negative outside the disk A >= 0 of radius
+    # sqrt(10 - 2 d^2), so a march from an inside center ends in it, however
+    # small or large the direction's components: no length guard is needed.
+    calls = 0
+
+    def counting_in_domain(a, b, d):
+        nonlocal calls
+        calls += 1
+        return in_domain(a, b, d)
+
+    monkeypatch.setattr(quasih.domain, "in_domain", counting_in_domain)
+    rng = random.Random(20070316)
+    extremes = (5e-324, 1e-300, 1.0, 1.7e308, 1.7976931348623157e308)
+
+    def component():
+        magnitude = rng.choice(extremes) if rng.random() < 0.4 else 10.0 ** rng.uniform(-323, 308)
+        return rng.choice((-1.0, 1.0)) * magnitude
+
+    rays = 0
+    while rays < 2000:
+        d = rng.uniform(0.0, 2.2)
+        center = (rng.uniform(-3.2, 3.2), rng.uniform(-3.2, 3.2))
+        if not in_domain(*center, d).inside:
+            continue
+        calls = 0
+        a, b = boundary_trace_ray(center, (component(), component()), d)
+        assert a * a + b * b <= 10.0 - 2.0 * d * d
+        assert calls < 100
+        rays += 1
 
 
 #: Pinned geometry: (d^2, (coef_c, t) of a spike) per case.  The 16 ray

@@ -148,6 +148,7 @@ SCALAR = [
 USAGE_ERRORS = [
     ["pmn", "--d2", "7"],
     ["boundary", "--center", "0", "0", "--direction", "0", "0", "--d", "0.5"],
+    ["boundary", "--center", "0", "0", "--direction", "1", "0", "--d", "3"],
 ]
 
 
@@ -175,6 +176,7 @@ def test_usage_errors_exit_2_in_one_line_without_numpy(numpy_blocked):
     assert numpy_blocked["errors"] == [
         [2, "", "error: d2 must lie in (0, 5)\n"],
         [2, "", "error: direction must be non-zero\n"],
+        [2, "", "error: ray center lies outside the domain\n"],
     ]
 
 

@@ -29,7 +29,7 @@ def test_star_import_gives_every_public_name():
 
 def test_dir_lists_the_public_names():
     assert set(quasih.__all__) | {"__version__", "__all__"} <= set(dir(quasih))
-    assert len(set(quasih.__all__)) == len(quasih.__all__) == 41
+    assert len(set(quasih.__all__)) == len(quasih.__all__) == 40
 
 
 def test_no_public_function_takes_a_threshold():

@@ -63,10 +63,9 @@ def test_series_error_order_scaling(which, order):
 
 def test_series_scaling_check_window():
     for which in (1, 3):
-        chk = series_scaling_check(which, 6)
-        assert chk.window == (0.0, 0.25)
+        err = series_scaling_check(which, 6)
         # next omitted term is O(alpha^8): coefficient of modest size
-        assert chk.max_abs_error_over_window < 1e-3
+        assert isinstance(err, float) and 0.0 < err < 1e-3
 
 
 def test_series_rejects_unsupported_order():
@@ -199,9 +198,7 @@ def test_spike_edges_need_positive_t():
 def test_spike_edges_refuse_a_t_where_coef_a_equals_coef_c_is_outside():
     # At t = 10 the spike point of coef_a = coef_c = 0 is (a, b, d) =
     # (18, 0, 9 sqrt(3)), where A = -400 < 0: no interval around coef_c.
-    # Only the refusal is pinned, not its class: RuntimeError (today's) is
-    # the numerical-failure class, and an input error would be a ValueError.
-    with pytest.raises((RuntimeError, ValueError), match="outside the domain"):
+    with pytest.raises(ValueError, match="outside the domain"):
         spike_band_edges(0.0, 10.0)
 
 
